@@ -17,7 +17,7 @@ from .channels import (
     random_pure,
     weyl_basis,
 )
-from .errors import ReductionError, SizeLimitError
+from .errors import NumericalError, SizeLimitError
 from .holevo import (
     HolevoReport,
     control_marginal,
@@ -57,8 +57,8 @@ __all__ = [
     "DensityMatrix",
     "DepolarizingChannel",
     "HolevoReport",
+    "NumericalError",
     "Permutation",
-    "ReductionError",
     "SizeLimitError",
     "SwitchBlockMatrix",
     "TermKind",

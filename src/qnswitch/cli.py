@@ -1,25 +1,29 @@
 """Command-line front end: holevo, table1, sweep, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-All numeric CSV output is printed with 6 significant digits, so repeated
-runs with identical flags are byte-identical. Set QNSWITCH_WORKERS to
-compute sweep rows in parallel; rows are still emitted in grid order.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
+4 internal numerical failure (the eigensolver did not converge or returned
+a negative spectrum). All numeric CSV output is printed with 6 significant
+digits, so repeated runs with identical flags are byte-identical. ``sweep``
+streams its rows to a temporary file next to the output and renames it
+into place only when every row is written, so a failed sweep leaves any
+previous output untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import NumericalError, SizeLimitError
 from .holevo import HolevoReport, holevo_information
 from .verify import run_verification
 
@@ -27,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_NUMERICAL = 4
 
 PROB_SUM_SLACK = 1e-9
 
@@ -248,34 +253,37 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QNSWITCH_WORKERS", "")
+def _write_atomically(path: str, lines: Iterable[str]) -> None:
+    """Stream lines into a temporary file beside ``path``, then rename it.
+
+    On any failure, even one raised while ``lines`` is produced, the
+    temporary file is removed and ``path`` keeps its old contents.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(line + "\n" for line in lines)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)  # the mode open() would have given
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _build_sweep_spec(args)
-    points = list(spec.points())
 
-    def evaluate(point):
-        d, qs, probs = point
-        return holevo_information(spec.n, d, qs, probs)
-
-    workers = _worker_count()
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(evaluate, points))
-    else:
-        reports = [evaluate(point) for point in points]
+    def lines() -> Iterable[str]:
+        yield _csv_header(spec.n)
+        for d, qs, probs in spec.points():
+            yield _csv_row(holevo_information(spec.n, d, qs, probs))
 
     try:
-        with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(_csv_header(spec.n) + "\n")
-            for report in reports:
-                handle.write(_csv_row(report) + "\n")
+        _write_atomically(spec.output_path, lines())
     except OSError as exc:
         print(f"error: cannot write {spec.output_path}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -369,6 +377,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NumericalError as exc:
+        print(f"error: internal numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

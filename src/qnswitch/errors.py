@@ -9,14 +9,10 @@ class SizeLimitError(ValueError):
     """
 
 
-class ReductionError(RuntimeError):
-    """The symbolic contraction engine got stuck on a word.
+class NumericalError(RuntimeError):
+    """An internal numerical step failed on well-formed input.
 
-    Carries the offending word in ``word`` for post-mortem inspection.
-    This indicates an internal inconsistency and should never trigger for
-    well-formed inputs.
+    Raised when the eigensolver does not converge or returns a spectrum
+    below the negative-eigenvalue slack. It signals a defect in the
+    computation, not in the arguments, and is never a ValueError.
     """
-
-    def __init__(self, message: str, word=None):
-        super().__init__(message)
-        self.word = word

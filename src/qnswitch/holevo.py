@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DepolarizingChannel
+from .errors import NumericalError
 from .switch import ControlSpec, SwitchBlockMatrix, assemble_blocks, closed_form_n2
 
 TRACE_SLACK = 1e-9
@@ -33,16 +34,23 @@ class HolevoReport:
     chi: float
 
 
+def _spectrum(matrix: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed on a {matrix.shape} matrix: {exc}") from exc
+
+
 def _entropy_bits(eigenvalues: np.ndarray, slack: float = EIGENVALUE_SLACK) -> float:
-    """Shannon entropy of a spectrum, with 0*log(0) = 0.
+    """Shannon entropy of a computed spectrum, with 0*log(0) = 0.
 
     Eigenvalues in [-slack, 0) are treated as exact zeros; anything below
-    -slack is a contract violation.
+    -slack means the computation went wrong and raises NumericalError.
     """
     vals = np.asarray(eigenvalues, dtype=float)
     low = vals.min() if vals.size else 0.0
     if low < -slack:
-        raise ValueError(f"spectrum has a negative eigenvalue: {low}")
+        raise NumericalError(f"spectrum has a negative eigenvalue: {low}")
     vals = vals[vals > 0.0]
     return float(-(vals * np.log2(vals)).sum()) + 0.0
 
@@ -57,7 +65,10 @@ def von_neumann_entropy(matrix: np.ndarray) -> float:
     trace = complex(np.trace(m)).real
     if abs(trace - 1.0) > TRACE_SLACK:
         raise ValueError(f"matrix trace {trace} != 1")
-    return _entropy_bits(np.linalg.eigvalsh(m))
+    vals = _spectrum(m)
+    if vals.size and vals.min() < -EIGENVALUE_SLACK:
+        raise ValueError(f"matrix has a negative eigenvalue: {vals.min()}")
+    return _entropy_bits(vals)
 
 
 def control_marginal(sbm: SwitchBlockMatrix) -> np.ndarray:
@@ -79,14 +90,7 @@ def min_output_entropy(sbm: SwitchBlockMatrix) -> float:
     """
     top = sbm.a + sbm.b
     rest = sbm.a
-    try:
-        lam_top = np.linalg.eigvalsh(top)
-        lam_rest = np.linalg.eigvalsh(rest)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigensolver failed on block pencil:\n{top!r}\n{rest!r}"
-        ) from exc
-    spectrum = np.concatenate([lam_top, np.tile(lam_rest, sbm.d - 1)])
+    spectrum = np.concatenate([_spectrum(top), np.tile(_spectrum(rest), sbm.d - 1)])
     return _entropy_bits(spectrum)
 
 
@@ -141,7 +145,9 @@ def holevo_information(n: int, d: int, q, probs) -> HolevoReport:
         channels = [DepolarizingChannel(x, d) for x in q]
         sbm = assemble_blocks(channels, ctrl)
         h_min = min_output_entropy(sbm)
-    h_control = von_neumann_entropy(control_marginal(sbm))
+    # The marginal is exactly symmetric with unit trace by construction, so
+    # only the spectrum is checked, and a bad one is a numerical failure.
+    h_control = _entropy_bits(_spectrum(control_marginal(sbm)))
     chi = math.log2(d) + h_control - h_min
     return HolevoReport(
         n=n, d=d, q=q, probs=probs, h_min=h_min, h_control=h_control, chi=chi

@@ -6,12 +6,15 @@ sum_k sqrt(P_k) |k>, one basis state per causal order. Its output is an
 (N! x N!) array of d x d blocks, and every block is a linear combination
 a*I + b*rho with nonnegative coefficients. The module provides
 
-* a symbolic contraction engine that evaluates, per pair of causal orders
-  (k, k') and zero-index subset A_z, the summed unitary word
+* a loop-counting rule that evaluates, per pair of causal orders (k, k')
+  and zero-index subset A_z, the summed unitary word
   sum pi_k(U_{i1}..U_{iN}) rho [pi_k'(U_{i1}..U_{iN})]^dag as a power of d
-  times I or rho,
-* ``assemble_blocks``, which combines those contractions with the channel
-  transparencies into the exact block matrix for any N up to 5,
+  times I or rho: each summed slot joins index wires, the word is I when
+  the two output wires join and rho otherwise, and every closed loop of
+  wires adds a factor d,
+* ``contraction_table``, the rule tabulated once per N for every
+  (A_z, k, k'), and ``assemble_blocks``, which weights that table with the
+  channel transparencies into the exact block matrix for any N up to 5,
 * hand-expanded closed forms for N = 2 and N = 3,
 * a brute-force reference (``kraus_sum_output``) that sums the generalized
   Kraus operators tuple by tuple, used to cross-check the analytic path.
@@ -19,16 +22,17 @@ a*I + b*rho with nonnegative coefficients. The module provides
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import DensityMatrix, DepolarizingChannel, kraus_set, weyl_basis
-from .errors import ReductionError, SizeLimitError
+from .errors import SizeLimitError
 from .symgroup import ZeroSubset, apply_order, enumerate_orders, zero_subsets
 
 # Hard caps: the brute-force sums run over (d^2+1)^n index tuples, the block
@@ -150,191 +154,106 @@ class ContractedTerm:
         if self.power < 0:
             raise ValueError(f"power must be nonnegative, got {self.power}")
 
-    def scale(self, d: int) -> float:
-        return float(d) ** self.power
-
 
 # ---------------------------------------------------------------------------
-# Symbolic contraction of summed unitary words.
-#
-# A word is a list of tokens: _RHO, or (slot, daggered) for the basis element
-# U carrying the summation index of channel `slot`. Each live slot occurs
-# exactly twice, once plain and once daggered. Contraction repeatedly sums
-# out one slot using the trace-orthogonality identities
-#
-#   (sandwich)  sum_i U_i X U_i^dag            = d tr(X) I
-#   (splice)    sum_i tr(Y U_i) U_i^dag        = d Y
-#   (adjacent)  sum_i U_i U_i^dag              = d^2 I   (empty sandwich)
-#   (split)     sum_i tr(U_i X U_i^dag Y)      = d tr(X) tr(Y)
-#   (merge)     sum_i tr(X U_i) tr(U_i^dag Y)  = d tr(X Y)
-#
-# all of which hold with the daggers exchanged as well. Every move removes
-# one slot entirely, so contraction terminates after exactly |B_z| moves,
-# in any move order. tr(I) contributes a factor d, tr(rho) a factor 1.
+# Loop counting. The word U_{l1}..U_{lm} rho U_{rm}^dag..U_{r1}^dag of m
+# live slots is a product of 2m+1 factors on 2m+2 index wires: wire 0 is
+# the output row L0, wire 2m+1 the output column R0, wire j sits between
+# factors j and j+1. Summing a slot with
+#   sum_i (U_i)_ab (U_i*)_cd = d delta_ac delta_bd
+# gives a factor d and joins the wires around U_s crosswise to those around
+# U_s^dag. What remains is two open strands through L0, R0 and the indices
+# of rho, plus closed loops worth d each: the word is I (times tr(rho) = 1)
+# when L0 and R0 share a strand, else rho, and the power of d is m plus the
+# number of joins that closed a loop.
 # ---------------------------------------------------------------------------
 
-_RHO = "rho"
+
+def _loop_rule(left: Sequence[int], right: Sequence[int]) -> tuple[bool, int]:
+    """(word is I, power of d) for the live slots in the orders left, right."""
+    m = len(left)
+    root = list(range(2 * m + 2))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    dagger_at = {slot: 2 * m + 2 - i for i, slot in enumerate(right, start=1)}
+    loops = 0
+    for j, slot in enumerate(left, start=1):
+        for x, y in ((j - 1, dagger_at[slot]), (j, dagger_at[slot] - 1)):
+            rx, ry = find(x), find(y)
+            loops += rx == ry
+            root[rx] = ry
+    return find(0) == find(2 * m + 1), m + loops
 
 
-def _format_word(word) -> str:
-    parts = []
-    for tok in word:
-        if tok == _RHO:
-            parts.append("rho")
-        else:
-            slot, dag = tok
-            parts.append(f"U{slot}*" if dag else f"U{slot}")
-    return " ".join(parts) if parts else "<empty>"
+@functools.cache
+def _order_images(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(p.image for p in enumerate_orders(n))
 
 
-def _initial_word(k: int, kp: int, zeros: ZeroSubset) -> list:
-    orders = enumerate_orders(zeros.n)
-    slots = list(range(1, zeros.n + 1))
-    live = set(zeros.complement)
-    left = [(s, False) for s in apply_order(orders[k - 1], slots) if s in live]
-    right = [(s, True) for s in apply_order(orders[kp - 1], slots) if s in live]
-    right.reverse()
-    return left + [_RHO] + right
+def _restrict(order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(slot for slot in order if slot not in pinned)
 
 
-def _locate(slot: int, word: list, traces: list[list]) -> list[tuple[int, int]]:
-    """Both occurrences of a slot as (container, position); container -1 is the word."""
-    hits = []
-    for pos, tok in enumerate(word):
-        if tok != _RHO and tok[0] == slot:
-            hits.append((-1, pos))
-    for t, tr in enumerate(traces):
-        for pos, tok in enumerate(tr):
-            if tok != _RHO and tok[0] == slot:
-                hits.append((t, pos))
-    if len(hits) != 2:
-        raise ReductionError(
-            f"slot {slot} occurs {len(hits)} times in {_format_word(word)}", word
-        )
-    return sorted(hits)
-
-
-def _file_trace(seq: list, traces: list[list]) -> int:
-    """Register a new trace factor; returns the power of d it contributes.
-
-    An empty product traces to d, a bare rho traces to 1; anything still
-    holding letters is kept for later moves.
-    """
-    if not seq:
-        return 1
-    if seq == [_RHO]:
-        return 0
-    traces.append(seq)
-    return 0
-
-
-def _contract_slot(slot: int, word: list, traces: list[list]) -> int:
-    """Sum out one slot in place; returns the power of d gained."""
-    (c1, p1), (c2, p2) = _locate(slot, word, traces)
-    tok1 = word[p1] if c1 == -1 else traces[c1][p1]
-    tok2 = word[p2] if c2 == -1 else traces[c2][p2]
-    if tok1[1] == tok2[1]:
-        raise ReductionError(
-            f"slot {slot} appears twice with the same dagger flag in {_format_word(word)}",
-            word,
-        )
-    if c1 == -1 and c2 == -1:
-        # Sandwich in the word; an empty filling is the adjacent contraction.
-        inner = word[p1 + 1 : p2]
-        del word[p1 : p2 + 1]
-        return 1 + _file_trace(inner, traces)
-    if c1 == -1:
-        # Partner letter sits in a trace: rotate it last and splice the rest
-        # of the trace into the word at the letter position.
-        tr = traces.pop(c2)
-        word[p1 : p1 + 1] = tr[p2 + 1 :] + tr[:p2]
-        return 1
-    if c1 == c2:
-        # Both letters in one trace: it splits into the two enclosed arcs.
-        tr = traces.pop(c1)
-        first = tr[p1 + 1 : p2]
-        second = tr[p2 + 1 :] + tr[:p1]
-        return 1 + _file_trace(first, traces) + _file_trace(second, traces)
-    # Letters in two distinct traces: the traces fuse into one.
-    hi, lo = traces.pop(c2), traces.pop(c1)
-    merged = lo[p1 + 1 :] + lo[:p1] + hi[p2 + 1 :] + hi[:p2]
-    return 1 + _file_trace(merged, traces)
-
-
-def _pick_slot(alive: set[int], word: list, traces: list[list]) -> int:
-    """Deterministic move order: clean up trace factors first, then take the
-    innermost sandwich remaining in the word."""
-    best_key = None
-    best_slot = None
-    for slot in sorted(alive):
-        (c1, p1), (c2, p2) = _locate(slot, word, traces)
-        if c1 == -1 and c2 == -1:
-            key = (3, p2 - p1, p1, slot)
-        elif c1 == -1:
-            key = (2, c2, p2, slot)
-        elif c1 == c2:
-            key = (0, c1, p1, slot)
-        else:
-            key = (1, c1, p1, slot)
-        if best_key is None or key < best_key:
-            best_key, best_slot = key, slot
-    return best_slot
-
-
-def _reduce_word(
-    word: list, live_slots: Sequence[int], rng: np.random.Generator | None = None
-) -> ContractedTerm:
-    word = list(word)
-    traces: list[list] = []
-    alive = set(live_slots)
-    power = 0
-    while alive:
-        if rng is None:
-            slot = _pick_slot(alive, word, traces)
-        else:
-            slot = sorted(alive)[rng.integers(len(alive))]
-        power += _contract_slot(slot, word, traces)
-        alive.discard(slot)
-    if traces:
-        raise ReductionError(
-            f"dangling trace factors after contraction: {[_format_word(t) for t in traces]}",
-            word,
-        )
-    if word == []:
-        return ContractedTerm(TermKind.IDENTITY, power)
-    if word == [_RHO]:
-        return ContractedTerm(TermKind.RHO, power)
-    raise ReductionError(f"word did not contract to I or rho: {_format_word(word)}", word)
-
-
-# One table serves every parameter sweep: contractions depend only on the
-# combinatorics (n, k, k', A_z), never on q, P or d. Inserts are idempotent,
-# so concurrent writers are harmless.
-_CONTRACTION_CACHE: dict[tuple, ContractedTerm] = {}
-
-
-def contract_pair(
-    k: int, kp: int, zeros: ZeroSubset, rng: np.random.Generator | None = None
-) -> ContractedTerm:
+def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> ContractedTerm:
     """Contract the summed word of causal-order pair (k, k') for subset A_z.
 
     Slots listed in ``zeros`` carry the identity; the remaining slots are
-    summed over the unitary basis and contracted symbolically. Passing an
-    ``rng`` takes the applicable moves in random order (bypassing the cache),
-    which is useful for checking that the result is move-order independent.
+    summed over the unitary basis and evaluated by the loop-counting rule.
     """
     nf = math.factorial(zeros.n)
     if not (1 <= k <= nf and 1 <= kp <= nf):
         raise ValueError(f"order labels must be in 1..{nf}, got ({k}, {kp})")
-    key = (zeros.n, k, kp, zeros.members)
-    if rng is None:
-        cached = _CONTRACTION_CACHE.get(key)
-        if cached is not None:
-            return cached
-    term = _reduce_word(_initial_word(k, kp, zeros), zeros.complement, rng)
-    if rng is None:
-        _CONTRACTION_CACHE[key] = term
-    return term
+    orders = _order_images(zeros.n)
+    words = (_restrict(orders[label - 1], zeros.members) for label in (k, kp))
+    identity, power = _loop_rule(*words)
+    return ContractedTerm(TermKind.IDENTITY if identity else TermKind.RHO, power)
+
+
+class ContractionTable(NamedTuple):
+    """Every contraction of n channels as read-only [2^n, n!, n!] arrays.
+
+    Axis 0 follows ``subsets`` (the A_z by size, then lexicographically),
+    axes 1 and 2 the labels k - 1 and k' - 1. ``identity`` (bool) says
+    whether the word is I rather than rho, ``power`` (int8) gives d's power.
+    """
+
+    subsets: tuple[tuple[int, ...], ...]
+    identity: np.ndarray
+    power: np.ndarray
+
+
+@functools.cache
+def _relative_rule(relative: tuple[int, ...]) -> tuple[bool, int]:
+    return _loop_rule(range(len(relative)), relative)
+
+
+@functools.cache
+def contraction_table(n: int) -> ContractionTable:
+    """The contraction table of n channels, built on first use.
+
+    Contractions depend only on (n, k, k', A_z), never on q, P or d.
+    """
+    orders = _order_images(n)
+    subsets = tuple(zs.members for z in range(n + 1) for zs in zero_subsets(n, z))
+    table = np.empty((len(subsets), len(orders), len(orders), 2), dtype=np.int8)
+    for s, members in enumerate(subsets):
+        words: dict[tuple[int, ...], int] = {}
+        pick = np.array([words.setdefault(_restrict(o, members), len(words)) for o in orders])
+        # Slots are dummy labels, so a word pair's value depends only on
+        # the order of the right word relative to the left one.
+        distinct = np.array(
+            [[_relative_rule(tuple(map(u.index, v))) for v in words] for u in words],
+            dtype=np.int8,
+        )
+        table[s] = distinct[pick[:, None], pick[None, :]]
+    identity, power = table[..., 0] == 1, table[..., 1].copy()
+    identity.setflags(write=False)
+    power.setflags(write=False)
+    return ContractionTable(subsets, identity, power)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +270,21 @@ def _channel_dimension(channels: Sequence[DepolarizingChannel]) -> int:
     return d
 
 
+@functools.lru_cache(maxsize=4)
+def _block_scales(n: int, d: int) -> np.ndarray:
+    """d^power per (subset, k, k'), split into I and rho: [2^n, 2, n!, n!]."""
+    table = contraction_table(n)
+    powers = np.array([float(d) ** p for p in range(int(table.power.max()) + 1)])
+    scale = powers[table.power]
+    split = np.stack([scale * table.identity, scale * ~table.identity], axis=1)
+    split.setflags(write=False)
+    return split
+
+
 def assemble_blocks(
     channels: Sequence[DepolarizingChannel], ctrl: ControlSpec
 ) -> SwitchBlockMatrix:
-    """Exact switch output blocks from the symbolic contraction table.
+    """Exact switch output blocks from the contraction table.
 
     Block (k, k') collects, over all zero-index subsets A_z,
     sqrt(P_k P_k') * w(A_z) * d^(2(z-N)) * d^power * (I or rho), where
@@ -370,29 +300,19 @@ def assemble_blocks(
         raise SizeLimitError(
             f"block assembly supports up to {MAX_ASSEMBLE_CHANNELS} channels, got {n}"
         )
-    nf = math.factorial(n)
+    table = contraction_table(n)
+    scales = _block_scales(n, d)
     qs = [ch.q for ch in channels]
-    coeff_id = np.zeros((nf, nf))
-    coeff_rho = np.zeros((nf, nf))
-    for z in range(n + 1):
-        for zeros in zero_subsets(n, z):
-            inside = set(zeros.members)
-            weight = 1.0
-            for j, q in enumerate(qs, start=1):
-                weight *= q if j in inside else (1.0 - q)
-            if weight == 0.0:
-                continue
-            base = weight * float(d) ** (2 * (z - n))
-            for k in range(1, nf + 1):
-                for kp in range(k, nf + 1):
-                    term = contract_pair(k, kp, zeros)
-                    target = coeff_id if term.kind is TermKind.IDENTITY else coeff_rho
-                    target[k - 1, kp - 1] += base * term.scale(d)
-    upper = np.triu_indices(nf, 1)
-    coeff_id[(upper[1], upper[0])] = coeff_id[upper]
-    coeff_rho[(upper[1], upper[0])] = coeff_rho[upper]
+    coeff = np.zeros(scales.shape[1:])
+    for members, scale in zip(table.subsets, scales):
+        weight = 1.0
+        for j, q in enumerate(qs, start=1):
+            weight *= q if j in members else (1.0 - q)
+        if weight == 0.0:
+            continue
+        coeff += (weight * float(d) ** (2 * (len(members) - n))) * scale
     weights = ctrl.density()
-    return SwitchBlockMatrix(n=n, d=d, a=coeff_id * weights, b=coeff_rho * weights)
+    return SwitchBlockMatrix(n=n, d=d, a=coeff[0] * weights, b=coeff[1] * weights)
 
 
 def closed_form_n2(q1: float, q2: float, ctrl: ControlSpec, d: int) -> SwitchBlockMatrix:

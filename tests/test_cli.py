@@ -1,8 +1,19 @@
 import math
+import os
+import stat
 
+import numpy as np
 import pytest
 
-from qnswitch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from qnswitch.cli import (
+    EXIT_IO,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
+    main,
+)
+from qnswitch.errors import NumericalError
 
 
 def run(capsys, *argv):
@@ -60,6 +71,13 @@ class TestHolevoCommand:
         )
         assert code == EXIT_USAGE
         assert "error" in err
+
+    def test_single_channel(self, capsys):
+        code, out, _ = run(capsys, "holevo", "--n", "1", "--d", "2", "--q", "0.5")
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        assert header == ["n", "d", "q1", "p1", "h_min", "h_control", "chi"]
+        assert rows[0][-1] == "0.188722"
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "holevo", "--n", "2", "--d", "2", "--bogus", "1")
@@ -249,13 +267,42 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "exclusive" in err
 
-    def test_parallel_workers_keep_grid_order(self, capsys, tmp_path, monkeypatch):
-        args = ["sweep", "--n", "3", "--d", "2,3", "--q-linked", "0,0.5,1"]
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        assert run(capsys, *args, "--out", str(serial))[0] == EXIT_OK
-        monkeypatch.setenv("QNSWITCH_WORKERS", "4")
-        assert run(capsys, *args, "--out", str(parallel))[0] == EXIT_OK
-        assert serial.read_bytes() == parallel.read_bytes()
+    @pytest.mark.parametrize(
+        "error,code", [(NumericalError, EXIT_NUMERICAL), (ValueError, EXIT_USAGE)]
+    )
+    def test_failed_sweep_keeps_previous_output(
+        self, capsys, tmp_path, monkeypatch, error, code
+    ):
+        import qnswitch.cli as cli
+
+        out_path = tmp_path / "curve.csv"
+        out_path.write_bytes(b"previous contents\n")
+        real = cli.holevo_information
+        calls = []
+
+        def third_point_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise error("injected failure at the third point")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "holevo_information", third_point_fails)
+        args = ["sweep", "--n", "3", "--d", "2", "--q-linked", "0,0.2,0.4,0.6"]
+        result, _, err = run(capsys, *args, "--out", str(out_path))
+        assert result == code
+        assert len(calls) == 3
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert out_path.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+        monkeypatch.setattr(cli, "holevo_information", real)
+        assert run(capsys, *args, "--out", str(out_path))[0] == EXIT_OK
+        _, rows = parse_csv(out_path.read_text())
+        assert len(rows) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~umask
 
     def test_three_channel_linked_curve(self, capsys, tmp_path):
         out_path = tmp_path / "n3.csv"
@@ -277,6 +324,38 @@ class TestSweepCommand:
         assert len(rows) == 101
         assert float(rows[0][-1]) == pytest.approx(0.0980, abs=1e-3)
         assert float(rows[-1][-1]) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestNumericalFailures:
+    """Internal eigensolver failures exit with their own code, one line."""
+
+    ARGS = ("holevo", "--n", "3", "--d", "2", "--q", "0.1,0.2,0.3")
+
+    def test_eigensolver_does_not_converge(self, capsys, monkeypatch):
+        import qnswitch.holevo as hv
+
+        def diverges(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(hv.np.linalg, "eigvalsh", diverges)
+        code, out, err = run(capsys, *self.ARGS)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "did not converge" in err
+
+    def test_negative_spectrum(self, capsys, monkeypatch):
+        import qnswitch.holevo as hv
+
+        def negative(matrix):
+            return np.full(len(matrix), -1e-3)
+
+        monkeypatch.setattr(hv.np.linalg, "eigvalsh", negative)
+        code, out, err = run(capsys, *self.ARGS)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "negative eigenvalue" in err
 
 
 class TestVerifyCommand:

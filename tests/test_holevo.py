@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnswitch.channels import DepolarizingChannel, random_density, random_pure
+from qnswitch.errors import NumericalError
 from qnswitch.holevo import (
     control_marginal,
     holevo_information,
@@ -19,6 +20,7 @@ from qnswitch.switch import (
     closed_form_n2,
     realize,
 )
+from qnswitch.symgroup import enumerate_orders
 
 
 def entropy_of(probabilities):
@@ -238,6 +240,27 @@ class TestHolevoInformation:
             assert von_neumann_entropy(dense) >= min_output_entropy(sbm) - 1e-9
             count += 1
 
+    @pytest.mark.parametrize("q,d", [(0.5, 2), (0.0, 2), (1.0, 3), (0.3, 5)])
+    def test_single_channel(self, q, d):
+        # One channel has one order: chi = log2 d - S(q |0><0| + (1-q) I/d).
+        rep = holevo_information(1, d, (q,), (1.0,))
+        spectrum = [q + (1.0 - q) / d] + [(1.0 - q) / d] * (d - 1)
+        assert rep.h_control == pytest.approx(0.0, abs=1e-12)
+        assert rep.chi == pytest.approx(math.log2(d) - entropy_of(spectrum), abs=1e-12)
+
+    def test_single_channel_published_row(self):
+        assert holevo_information(1, 2, (0.5,), (1.0,)).chi == pytest.approx(
+            0.188722, abs=5e-7
+        )
+
+    def test_negative_spectrum_is_a_numerical_error(self, monkeypatch):
+        import qnswitch.holevo as hv
+
+        monkeypatch.setattr(hv.np.linalg, "eigvalsh", lambda m: np.full(len(m), -1.0))
+        with pytest.raises(NumericalError) as info:
+            holevo_information(3, 2, (0.1, 0.2, 0.3), ControlSpec.uniform(3).probs)
+        assert not isinstance(info.value, ValueError)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             holevo_information(2, 2, (0.5,), (0.5, 0.5))
@@ -267,3 +290,38 @@ def test_chi_identity_and_bounds_property(n, d, data):
     assert rep.chi == pytest.approx(math.log2(d) + rep.h_control - rep.h_min, abs=1e-12)
     assert -1e-12 <= rep.chi <= math.log2(d) + 1e-9
     assert rep.h_min >= -1e-12 and rep.h_control >= -1e-12
+
+
+def _relabeled(n, q, probs, sigma):
+    """Inputs with new channel j = old channel sigma[j-1]; orders follow."""
+    new_label = {old: new for new, old in enumerate(sigma, start=1)}
+    images = [p.image for p in enumerate_orders(n)]
+    index = {image: k for k, image in enumerate(images)}
+    moved = [0.0] * len(images)
+    for k, image in enumerate(images):
+        moved[index[tuple(new_label[c] for c in image)]] = probs[k]
+    return [q[old - 1] for old in sigma], tuple(moved)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([4, 5]), d=st.integers(2, 4), data=st.data())
+def test_channel_relabeling_invariance(n, d, data):
+    # Brute force is out of reach at N = 4, 5; relabeling the channels
+    # permutes the block matrix, so chi and every spectrum must stay put.
+    nf = math.factorial(n)
+    q = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), label="q")
+    raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=nf, max_size=nf), label="p")
+    sigma = data.draw(st.permutations(range(1, n + 1)), label="sigma")
+    total = math.fsum(raw)
+    probs = tuple(v / total for v in raw)
+    q_new, probs_new = _relabeled(n, q, probs, sigma)
+    rep = holevo_information(n, d, q, probs)
+    rep_new = holevo_information(n, d, q_new, probs_new)
+    assert rep_new.chi == pytest.approx(rep.chi, abs=1e-12)
+    blocks = [
+        assemble_blocks([DepolarizingChannel(x, d) for x in qs], ControlSpec(n, ps))
+        for qs, ps in ((q, probs), (q_new, probs_new))
+    ]
+    for view in (lambda m: m.a + m.b, lambda m: m.a, control_marginal):
+        before, after = (np.linalg.eigvalsh(view(m)) for m in blocks)
+        assert np.abs(before - after).max() <= 1e-12
