@@ -4,9 +4,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
 4 internal numerical failure (the eigensolver did not converge or returned
 a negative spectrum). All numeric CSV output is printed with 6 significant
 digits, so repeated runs with identical flags are byte-identical. ``sweep``
-streams its rows to a temporary file next to the output and renames it
-into place only when every row is written, so a failed sweep leaves any
-previous output untouched.
+evaluates its grid in fixed-size chunks, one ``holevo_batch`` call each, so
+memory does not grow with the grid; it streams the rows of each chunk to a
+temporary file next to the output and renames it into place only when every
+row is written, so a failed sweep leaves any previous output untouched.
+The channel count is checked against the assembly limit, and dimensions
+must be integers, before any grid is built.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, SizeLimitError
-from .holevo import HolevoReport, holevo_information
+from .holevo import HolevoReport, holevo_batch, holevo_information
+from .switch import _check_channel_count
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -34,6 +38,12 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 PROB_SUM_SLACK = 1e-9
+
+# A sweep evaluates its grid in chunks sized so that a chunk's largest array
+# (its n! x n! blocks or its n!*d output spectra) holds about this many
+# floats: memory stays flat however large the grid is, and each batch call
+# still covers enough points to amortize its fixed cost.
+SWEEP_CHUNK_ENTRIES = 1 << 12
 
 
 def _fmt(value: float) -> str:
@@ -51,7 +61,13 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(round(v)) for v in _parse_floats(text)]
+    text = text.strip()
+    if not text:
+        return []
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"not a comma-separated list of integers: {text!r}") from exc
 
 
 def _validate_q(values: Sequence[float]) -> list[float]:
@@ -98,6 +114,7 @@ def _csv_row(report: HolevoReport) -> str:
 
 
 def cmd_holevo(args: argparse.Namespace) -> int:
+    _check_channel_count(args.n)
     q = _validate_q(_parse_floats(args.q))
     if len(q) != args.n:
         raise ValueError(f"expected {args.n} transparencies, got {len(q)}")
@@ -162,19 +179,18 @@ class SweepSpec:
         if not self.output_path:
             raise ValueError("an output path is required")
 
-    def q_tuples(self) -> Iterable[tuple[float, ...]]:
+    def q_rows(self) -> Iterable[tuple[tuple[float, ...], str]]:
+        """Each q tuple of the grid in order, with its CSV fields.
+
+        Every distinct value is formatted once, not once per row.
+        """
         if self.q_linked is not None:
             for v in self.q_linked:
-                yield (v,) * self.n
+                yield (v,) * self.n, ",".join([_fmt(v)] * self.n)
         else:
-            yield from product(*self.q_axes)
-
-    def points(self) -> Iterable[tuple[int, tuple[float, ...], tuple[float, ...]]]:
-        """Grid points in row-major order: d slowest, then q, then p."""
-        for d in self.d_values:
-            for qs in self.q_tuples():
-                for probs in self.p_vectors:
-                    yield d, qs, probs
+            axes = [[(v, _fmt(v)) for v in axis] for axis in self.q_axes]
+            for combo in product(*axes):
+                yield tuple(v for v, _ in combo), ",".join(text for _, text in combo)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -200,8 +216,7 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     n = args.n if args.n is not None else (int(config["n"]) if "n" in config else None)
     if n is None:
         raise ValueError("the number of channels is required (--n or config key 'n')")
-    if n < 1:
-        raise ValueError(f"--n must be >= 1, got {n}")
+    _check_channel_count(n)
 
     if args.d is not None:
         d_values = tuple(_parse_ints(args.d))
@@ -276,11 +291,24 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _build_sweep_spec(args)
+    nf = math.factorial(spec.n)
+    p_rows = [(p, ",".join(map(_fmt, p))) for p in spec.p_vectors]
 
     def lines() -> Iterable[str]:
+        """Rows in grid order: d slowest, then q, then p; one batch per chunk."""
         yield _csv_header(spec.n)
-        for d, qs, probs in spec.points():
-            yield _csv_row(holevo_information(spec.n, d, qs, probs))
+        for d in spec.d_values:
+            size = max(1, SWEEP_CHUNK_ENTRIES // (nf * max(nf, d)))
+            # "%.6g" formats a float exactly as _fmt does; adding 0.0 turns
+            # -0.0 into 0.0 there and here.
+            row = f"{spec.n},{d},%s,%s,%.6g,%.6g,%.6g"
+            points = product(spec.q_rows(), p_rows)
+            while chunk := list(islice(points, size)):
+                q = [qs for (qs, _), _ in chunk]
+                probs = [p for _, (p, _) in chunk]
+                values = np.stack(holevo_batch(spec.n, d, q, probs), axis=1) + 0.0
+                for ((_, q_text), (_, p_text)), entropies in zip(chunk, values.tolist()):
+                    yield row % (q_text, p_text, *entropies)
 
     try:
         _write_atomically(spec.output_path, lines())

@@ -4,6 +4,12 @@ chi = log2(d) + H(control marginal) - H_min, all entropies in bits. H_min
 is the minimum output entropy over target states; by concavity it is
 attained on pure states aligned with a basis vector, so the block structure
 reduces it to two n! x n! eigenproblems (target eigenvalue 1 and 0).
+
+``holevo_batch`` is the one evaluation path for every N: G points at once,
+with one stacked eigensolve each for a + b, a and the control marginal
+d*a + b, every value bitwise what the point gives alone.
+``holevo_information`` is its single-point form; the two-channel closed forms
+are independent checks, not part of the path.
 """
 
 from __future__ import annotations
@@ -13,9 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DepolarizingChannel
 from .errors import NumericalError
-from .switch import ControlSpec, SwitchBlockMatrix, assemble_blocks, closed_form_n2
+from .switch import (
+    SwitchBlockMatrix,
+    _check_blocks,
+    _check_channel_count,
+    _check_probabilities,
+    _subset_coefficients,
+)
 
 TRACE_SLACK = 1e-9
 EIGENVALUE_SLACK = 1e-9
@@ -38,7 +49,7 @@ def _spectrum(matrix: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed on a {matrix.shape} matrix: {exc}") from exc
+        raise NumericalError(f"eigensolver failed on a {matrix.shape} stack: {exc}") from exc
 
 
 def _entropy_bits(eigenvalues: np.ndarray, slack: float = EIGENVALUE_SLACK) -> float:
@@ -122,33 +133,70 @@ def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
     return acc
 
 
+def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
+    """``_entropy_bits`` of every row of a [G, L] stack of spectra, bitwise.
+
+    Each row keeps its positive eigenvalues in order, and rows that keep the
+    same number of them share one last-axis reduction: equal lengths make
+    numpy sum every row in the order it sums the row alone.
+    """
+    low = spectra.min(axis=1)
+    bad = np.flatnonzero(low < -EIGENVALUE_SLACK)
+    if bad.size:
+        raise NumericalError(f"spectrum has a negative eigenvalue: {low[bad[0]]}")
+    keep = spectra > 0.0
+    counts = keep.sum(axis=1)
+    out = np.empty(len(spectra))
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        vals = spectra[rows][keep[rows]].reshape(len(rows), count)
+        out[rows] = (-(vals * np.log2(vals))).sum(axis=1) + 0.0
+    return out
+
+
+def holevo_batch(n: int, d: int, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h_min, h_control, chi) in bits for G points of n channels at dimension d.
+
+    ``q`` holds one row of n transparencies per point ([G, n]) and ``probs``
+    one row of n! order probabilities ([G, n!]). Each point is checked as
+    ``ControlSpec`` and ``SwitchBlockMatrix`` check a single one.
+    """
+    _check_channel_count(n)
+    if d != int(d) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d}")
+    d = int(d)
+    q = np.asarray(q, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    if q.ndim != 2 or q.shape[1] != n:
+        raise ValueError(f"expected {n} transparencies per point, got shape {q.shape}")
+    nf = math.factorial(n)
+    if probs.shape != (len(q), nf):
+        raise ValueError(f"expected {nf} probabilities per point, got shape {probs.shape}")
+    outside = q[~((q >= 0.0) & (q <= 1.0))]
+    if outside.size:
+        raise ValueError(f"transparencies must lie in [0, 1], got {outside[0]}")
+    _check_probabilities(probs)
+    amps = np.sqrt(probs)
+    density = amps[:, :, None] * amps[:, None, :]
+    blocks = _subset_coefficients(n, d, q) * density[:, None]
+    _check_blocks(d, blocks)
+    a, b = blocks[:, 0], blocks[:, 1]
+    top, rest, marginal = (_spectrum(m) for m in (a + b, a, d * a + b))
+    h_min = _entropy_rows(np.concatenate([top] + [rest] * (d - 1), axis=1))
+    # The marginal is exactly symmetric with unit trace by construction, so
+    # only the spectrum is checked, and a bad one is a numerical failure.
+    h_control = _entropy_rows(marginal)
+    return h_min, h_control, math.log2(d) + h_control - h_min
+
+
 def holevo_information(n: int, d: int, q, probs) -> HolevoReport:
     """Holevo information chi = log2(d) + H(control marginal) - H_min.
 
-    Uses the two-channel closed form when n = 2 and the contraction-based
-    assembly plus eigensolver otherwise.
+    The single-point form of ``holevo_batch``.
     """
     q = tuple(float(x) for x in q)
     probs = tuple(float(x) for x in probs)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if len(q) != n:
-        raise ValueError(f"expected {n} transparencies, got {len(q)}")
-    for x in q:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"transparencies must lie in [0, 1], got {x}")
-    ctrl = ControlSpec(n, probs)
-    if n == 2:
-        sbm = closed_form_n2(q[0], q[1], ctrl, d)
-        h_min = min_output_entropy_n2(q[0], q[1], probs[0], d)
-    else:
-        channels = [DepolarizingChannel(x, d) for x in q]
-        sbm = assemble_blocks(channels, ctrl)
-        h_min = min_output_entropy(sbm)
-    # The marginal is exactly symmetric with unit trace by construction, so
-    # only the spectrum is checked, and a bad one is a numerical failure.
-    h_control = _entropy_bits(_spectrum(control_marginal(sbm)))
-    chi = math.log2(d) + h_control - h_min
+    h_min, h_control, chi = (float(v[0]) for v in holevo_batch(n, d, [q], [probs]))
     return HolevoReport(
         n=n, d=d, q=q, probs=probs, h_min=h_min, h_control=h_control, chi=chi
     )

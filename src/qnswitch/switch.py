@@ -41,6 +41,36 @@ DEFAULT_TUPLE_BUDGET = 1_000_000
 MAX_ASSEMBLE_CHANNELS = 5
 
 
+def _check_probabilities(probs: np.ndarray) -> None:
+    """Reject a stack [G, n!] of control probabilities unless every row is valid.
+
+    Each row must be nonnegative and sum to 1 within 1e-12 (exactly summed).
+    """
+    if (probs < 0.0).any():
+        raise ValueError("probabilities must be nonnegative")
+    for row in probs.tolist():
+        total = math.fsum(row)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities must sum to 1, got {total}")
+
+
+def _check_blocks(d: int, blocks: np.ndarray) -> None:
+    """Reject a stack [G, 2, n!, n!] of coefficients (a, b) unless every point is valid.
+
+    Each point's a and b must be exactly symmetric and nonnegative, and its
+    realized trace sum_k (d*a[k,k] + b[k,k]) must equal 1 within 1e-12.
+    """
+    if not (blocks == blocks.swapaxes(2, 3)).all():
+        raise ValueError("block matrix must be exactly symmetric")
+    if (blocks < 0).any():
+        raise ValueError("block coefficients must be nonnegative")
+    traces = blocks.trace(axis1=2, axis2=3)
+    realized = d * traces[:, 0] + traces[:, 1]
+    bad = np.flatnonzero(np.abs(realized - 1.0) > 1e-12)
+    if bad.size:
+        raise ValueError(f"realized trace {realized[bad[0]]} != 1")
+
+
 @dataclass(frozen=True)
 class ControlSpec:
     """Control-system preparation: probability P_k per causal order.
@@ -57,10 +87,7 @@ class ControlSpec:
         nf = math.factorial(self.n)
         if len(self.probs) != nf:
             raise ValueError(f"expected {nf} probabilities for n={self.n}, got {len(self.probs)}")
-        if any(p < 0.0 for p in self.probs):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(math.fsum(self.probs) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {math.fsum(self.probs)}")
+        _check_probabilities(np.array([self.probs]))
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -125,13 +152,7 @@ class SwitchBlockMatrix:
         nf = math.factorial(self.n)
         if a.shape != (nf, nf) or b.shape != (nf, nf):
             raise ValueError(f"coefficient arrays must be {nf}x{nf}")
-        if not (np.array_equal(a, a.T) and np.array_equal(b, b.T)):
-            raise ValueError("block matrix must be exactly symmetric")
-        if (a < 0).any() or (b < 0).any():
-            raise ValueError("block coefficients must be nonnegative")
-        trace = self.d * np.trace(a) + np.trace(b)
-        if abs(trace - 1.0) > 1e-12:
-            raise ValueError(f"realized trace {trace} != 1")
+        _check_blocks(self.d, np.stack([a, b])[None])
 
     def block(self, k: int, kp: int) -> Block:
         """1-based access to the (k, k') block coefficients."""
@@ -281,6 +302,39 @@ def _block_scales(n: int, d: int) -> np.ndarray:
     return split
 
 
+def _check_channel_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"at least one channel is required, got n={n}")
+    if n > MAX_ASSEMBLE_CHANNELS:
+        raise SizeLimitError(
+            f"block assembly supports up to {MAX_ASSEMBLE_CHANNELS} channels, got {n}"
+        )
+
+
+def _subset_coefficients(n: int, d: int, q: np.ndarray) -> np.ndarray:
+    """Block coefficients before the control weights, one row of q per point.
+
+    Returns [G, 2, n!, n!] (I then rho) for q of shape [G, n]. The subset
+    weights multiply channel by channel and the subsets are added one by
+    one in table order, so every row is bitwise what the same sum gives for
+    that point alone.
+    """
+    subsets = contraction_table(n).subsets
+    scales = _block_scales(n, d)
+    pinned = np.array([[j in members for j in range(1, n + 1)] for members in subsets])
+    factors = np.where(pinned, q[:, None, :], 1.0 - q[:, None, :])
+    weight = np.ones(factors.shape[:2])
+    for j in range(n):
+        weight *= factors[:, :, j]
+    weight *= [float(d) ** (2 * (len(members) - n)) for members in subsets]
+    coeff = np.zeros((len(q),) + scales.shape[1:])
+    columns = weight.T[:, :, None, None, None]
+    for column, scale, live in zip(columns, scales, weight.any(axis=0).tolist()):
+        if live:  # a subset with weight 0 at every point would add +0.0
+            coeff += column * scale
+    return coeff
+
+
 def assemble_blocks(
     channels: Sequence[DepolarizingChannel], ctrl: ControlSpec
 ) -> SwitchBlockMatrix:
@@ -296,21 +350,8 @@ def assemble_blocks(
     d = _channel_dimension(channels)
     if ctrl.n != n:
         raise ValueError(f"control is for {ctrl.n} channels, got {n}")
-    if n > MAX_ASSEMBLE_CHANNELS:
-        raise SizeLimitError(
-            f"block assembly supports up to {MAX_ASSEMBLE_CHANNELS} channels, got {n}"
-        )
-    table = contraction_table(n)
-    scales = _block_scales(n, d)
-    qs = [ch.q for ch in channels]
-    coeff = np.zeros(scales.shape[1:])
-    for members, scale in zip(table.subsets, scales):
-        weight = 1.0
-        for j, q in enumerate(qs, start=1):
-            weight *= q if j in members else (1.0 - q)
-        if weight == 0.0:
-            continue
-        coeff += (weight * float(d) ** (2 * (len(members) - n))) * scale
+    _check_channel_count(n)
+    coeff = _subset_coefficients(n, d, np.array([[ch.q for ch in channels]]))[0]
     weights = ctrl.density()
     return SwitchBlockMatrix(n=n, d=d, a=coeff[0] * weights, b=coeff[1] * weights)
 

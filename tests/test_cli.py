@@ -83,6 +83,16 @@ class TestHolevoCommand:
         code, _, _ = run(capsys, "holevo", "--n", "2", "--d", "2", "--bogus", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("n", [0, 6, 30])
+    def test_channel_count_checked_first(self, capsys, n):
+        # n! probabilities are never built for an n the assembly cannot take.
+        code, out, err = run(
+            capsys, "holevo", "--n", str(n), "--d", "2", "--q", ",".join(["0.5"] * n)
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == EXIT_OK
@@ -249,6 +259,30 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize("n", ["0", "30"])
+    def test_channel_count_checked_first(self, capsys, tmp_path, n):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sweep", "--n", n, "--d", "2", "--q-linked", "0.5", "--out", str(out_path)
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("d", ["2.6", "2,3.0", "two"])
+    def test_non_integer_dimension_rejected(self, capsys, tmp_path, d):
+        out_path = tmp_path / "x.csv"
+        base = ["sweep", "--n", "2", "--q-linked", "0.5", "--out", str(out_path)]
+        code, _, err = run(capsys, *base, "--d", d)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "integers" in err
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"d = {d}\n")
+        code, _, err = run(capsys, *base, "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "integers" in err
+        assert not out_path.exists()
+
     def test_conflicting_q_flags(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -277,25 +311,28 @@ class TestSweepCommand:
 
         out_path = tmp_path / "curve.csv"
         out_path.write_bytes(b"previous contents\n")
-        real = cli.holevo_information
+        real = cli.holevo_batch
         calls = []
 
-        def third_point_fails(*args):
+        def second_chunk_fails(*args):
             calls.append(args)
-            if len(calls) == 3:
-                raise error("injected failure at the third point")
+            if len(calls) == 2:
+                raise error("injected failure in the second chunk")
             return real(*args)
 
-        monkeypatch.setattr(cli, "holevo_information", third_point_fails)
+        # One point per chunk, so the first row is already written when the
+        # second chunk fails.
+        monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", 1)
+        monkeypatch.setattr(cli, "holevo_batch", second_chunk_fails)
         args = ["sweep", "--n", "3", "--d", "2", "--q-linked", "0,0.2,0.4,0.6"]
         result, _, err = run(capsys, *args, "--out", str(out_path))
         assert result == code
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert out_path.read_bytes() == b"previous contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
-        monkeypatch.setattr(cli, "holevo_information", real)
+        monkeypatch.setattr(cli, "holevo_batch", real)
         assert run(capsys, *args, "--out", str(out_path))[0] == EXIT_OK
         _, rows = parse_csv(out_path.read_text())
         assert len(rows) == 4
@@ -348,7 +385,7 @@ class TestNumericalFailures:
         import qnswitch.holevo as hv
 
         def negative(matrix):
-            return np.full(len(matrix), -1e-3)
+            return np.full(matrix.shape[:-1], -1e-3)
 
         monkeypatch.setattr(hv.np.linalg, "eigvalsh", negative)
         code, out, err = run(capsys, *self.ARGS)

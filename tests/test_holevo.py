@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnswitch.channels import DepolarizingChannel, random_density, random_pure
-from qnswitch.errors import NumericalError
+import qnswitch.switch as sw
+from qnswitch.errors import NumericalError, SizeLimitError
 from qnswitch.holevo import (
+    _entropy_bits,
     control_marginal,
+    holevo_batch,
     holevo_information,
     min_output_entropy,
     min_output_entropy_n2,
@@ -16,6 +19,7 @@ from qnswitch.holevo import (
 )
 from qnswitch.switch import (
     ControlSpec,
+    SwitchBlockMatrix,
     assemble_blocks,
     closed_form_n2,
     realize,
@@ -256,7 +260,7 @@ class TestHolevoInformation:
     def test_negative_spectrum_is_a_numerical_error(self, monkeypatch):
         import qnswitch.holevo as hv
 
-        monkeypatch.setattr(hv.np.linalg, "eigvalsh", lambda m: np.full(len(m), -1.0))
+        monkeypatch.setattr(hv.np.linalg, "eigvalsh", lambda m: np.full(m.shape[:-1], -1.0))
         with pytest.raises(NumericalError) as info:
             holevo_information(3, 2, (0.1, 0.2, 0.3), ControlSpec.uniform(3).probs)
         assert not isinstance(info.value, ValueError)
@@ -325,3 +329,132 @@ def test_channel_relabeling_invariance(n, d, data):
     for view in (lambda m: m.a + m.b, lambda m: m.a, control_marginal):
         before, after = (np.linalg.eigvalsh(view(m)) for m in blocks)
         assert np.abs(before - after).max() <= 1e-12
+
+
+def _per_point_blocks(n, d, q, probs):
+    """The block matrix by a scalar loop over the subsets, one point at a time."""
+    table = sw.contraction_table(n)
+    scales = sw._block_scales(n, d)
+    coeff = np.zeros(scales.shape[1:])
+    for members, scale in zip(table.subsets, scales):
+        weight = 1.0
+        for j, x in enumerate(q, start=1):
+            weight *= x if j in members else (1.0 - x)
+        if weight == 0.0:
+            continue
+        coeff += (weight * float(d) ** (2 * (len(members) - n))) * scale
+    density = ControlSpec(n, probs).density()
+    return SwitchBlockMatrix(n=n, d=d, a=coeff[0] * density, b=coeff[1] * density)
+
+
+def _control(n, kind, raw):
+    nf = math.factorial(n)
+    if kind == "uniform":
+        return (1.0 / nf,) * nf
+    if kind == "definite":
+        return tuple(float(k == int(raw[0] * nf) % nf) for k in range(nf))
+    # Partly zero: every other order switched off.
+    kept = [v if k % 2 == 0 else 0.0 for k, v in enumerate(raw)]
+    total = math.fsum(kept)
+    return tuple(v / total for v in kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), d=st.integers(2, 4), data=st.data())
+def test_batch_is_bitwise_the_per_point_path(n, d, data):
+    nf = math.factorial(n)
+    value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    g = data.draw(st.integers(1, 3), label="G")
+    qs, controls = [], []
+    for _ in range(g):
+        qs.append(tuple(data.draw(st.lists(value, min_size=n, max_size=n), label="q")))
+        kind = data.draw(st.sampled_from(["uniform", "definite", "partly zero"]), label="P")
+        raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=nf, max_size=nf), label="raw")
+        controls.append(_control(n, kind, raw))
+    h_min, h_control, chi = holevo_batch(n, d, qs, controls)
+    for i, (q, probs) in enumerate(zip(qs, controls)):
+        sbm = _per_point_blocks(n, d, q, probs)
+        built = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(n, probs))
+        assert built.a.tobytes() == sbm.a.tobytes() and built.b.tobytes() == sbm.b.tobytes()
+        ref_min = min_output_entropy(sbm)
+        ref_control = _entropy_bits(np.linalg.eigvalsh(control_marginal(sbm)))
+        ref_chi = math.log2(d) + ref_control - ref_min
+        got = (h_min[i], h_control[i], chi[i])
+        assert np.array(got).tobytes() == np.array([ref_min, ref_control, ref_chi]).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_two_channel_batch_matches_closed_forms(d):
+    grid = np.linspace(0.0, 1.0, 6)
+    points = list(product(grid, grid, (0.0, 0.2, 0.5, 0.9, 1.0)))
+    h_min, h_control, chi = holevo_batch(
+        2, d, [(q1, q2) for q1, q2, _ in points], [(p, 1.0 - p) for *_, p in points]
+    )
+    for i, (q1, q2, p) in enumerate(points):
+        closed = closed_form_n2(q1, q2, ControlSpec(2, (p, 1.0 - p)), d)
+        ref_min = min_output_entropy_n2(q1, q2, p, d)
+        ref_control = von_neumann_entropy(control_marginal(closed))
+        assert abs(h_min[i] - ref_min) <= 1e-12
+        assert abs(h_control[i] - ref_control) <= 1e-12
+        assert abs(chi[i] - (math.log2(d) + ref_control - ref_min)) <= 1e-12
+
+
+class TestHolevoBatchArguments:
+    def test_rejects_bad_points(self):
+        ok_q, ok_p = [(0.5, 0.5)], [(0.5, 0.5)]
+        for q, probs in (
+            ([(0.5,)], ok_p),
+            ([(0.5, 1.5)], ok_p),
+            ([(0.5, float("nan"))], ok_p),
+            (ok_q, [(0.5, 0.5, 0.0)]),
+            (ok_q, [(1.5, -0.5)]),
+            (ok_q, [(0.7, 0.7)]),
+        ):
+            with pytest.raises(ValueError):
+                holevo_batch(2, 2, q, probs)
+
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(SizeLimitError):
+            holevo_batch(6, 2, [(0.5,) * 6], [(1.0 / 720,) * 720])
+        with pytest.raises(ValueError):
+            holevo_batch(0, 2, [()], [(1.0,)])
+        for d in (1, 2.5):
+            with pytest.raises(ValueError):
+                holevo_batch(2, d, [(0.5, 0.5)], [(0.5, 0.5)])
+
+    @pytest.mark.parametrize(
+        "entries,factor,message",
+        [
+            ([(1, 0, 0, 1)], 2.0, "symmetric"),
+            ([(1, 1, 0, 1), (1, 1, 1, 0)], -1.0, "nonnegative"),
+            ([(2, 0, 0, 0)], 2.0, "trace"),
+        ],
+    )
+    def test_block_checks_cover_every_row(self, monkeypatch, entries, factor, message):
+        import qnswitch.holevo as hv
+
+        real = hv._subset_coefficients
+
+        def corrupted(*args):
+            coeff = real(*args)
+            for index in entries:  # (point, I or rho, k, k')
+                coeff[index] *= factor
+            return coeff
+
+        monkeypatch.setattr(hv, "_subset_coefficients", corrupted)
+        with pytest.raises(ValueError, match=message):
+            holevo_batch(3, 2, [(0.1, 0.2, 0.3)] * 3, [ControlSpec.uniform(3).probs] * 3)
+
+    def test_negative_eigenvalue_in_one_row_raises(self, monkeypatch):
+        import qnswitch.holevo as hv
+
+        real = np.linalg.eigvalsh
+
+        def second_row_negative(m):
+            vals = real(m)
+            vals[1, 0] = -1e-3
+            return vals
+
+        monkeypatch.setattr(hv.np.linalg, "eigvalsh", second_row_negative)
+        with pytest.raises(NumericalError, match="negative eigenvalue"):
+            holevo_batch(3, 2, [(0.1, 0.2, 0.3)] * 3, [ControlSpec.uniform(3).probs] * 3)
