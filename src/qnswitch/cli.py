@@ -3,32 +3,36 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
 4 internal numerical failure (the eigensolver did not converge or returned
 a negative spectrum). All numeric CSV output is printed with 6 significant
-digits, so repeated runs with identical flags are byte-identical. ``sweep``
-evaluates its grid in fixed-size chunks, one ``holevo_batch`` call each, so
-memory does not grow with the grid; it streams the rows of each chunk to a
-temporary file next to the output and renames it into place only when every
-row is written, so a failed sweep leaves any previous output untouched.
-The channel count is checked against the assembly limit, and dimensions
-must be integers, before any grid is built.
+digits, so repeated runs with identical flags are byte-identical.
+
+``holevo`` is a one-point grid through the pipeline of ``sweep``, with the
+same checks: the channel count first, then integer dimensions >= 2, q in
+[0, 1], one q list per channel, and n! nonnegative probabilities whose exact
+sum is within 1e-12 of 1, divided by that sum. The grid is evaluated in
+fixed-size chunks, one ``holevo_batch`` call each, so memory does not grow
+with it. ``sweep`` streams its rows to a temporary file next to the output
+and renames it into place only when every row is written, so a failed sweep
+leaves any previous output untouched; ``holevo`` prints nothing if it fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Iterable, Sequence
+from itertools import chain, islice, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, SizeLimitError
-from .holevo import HolevoReport, holevo_batch, holevo_information
-from .switch import _check_channel_count
+from .errors import NumericalError
+from .holevo import holevo_batch, holevo_information
+from .switch import _check_channel_count, _check_probabilities
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -37,9 +41,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-PROB_SUM_SLACK = 1e-9
-
-# A sweep evaluates its grid in chunks sized so that a chunk's largest array
+# A grid is evaluated in chunks sized so that a chunk's largest array
 # (its n! x n! blocks or its n!*d output spectra) holds about this many
 # floats: memory stays flat however large the grid is, and each batch call
 # still covers enough points to amortize its fixed cost.
@@ -50,78 +52,116 @@ def _fmt(value: float) -> str:
     return format(float(value) + 0.0, ".6g")
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type = float) -> list:
+    """A comma-separated list of ``kind`` values; blank text is an empty list."""
     text = text.strip()
     if not text:
         return []
     try:
-        return [float(part) for part in text.split(",")]
+        return [kind(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"not a comma-separated list of numbers: {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"not a comma-separated list of integers: {text!r}") from exc
-
-
-def _validate_q(values: Sequence[float]) -> list[float]:
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"transparency {v} outside [0, 1]")
-    return list(values)
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"not a comma-separated list of {noun}: {text!r}") from exc
 
 
 def _resolve_probs(text: str, n: int) -> tuple[float, ...]:
-    """'uniform' or a normalized comma list of n! probabilities."""
+    """'uniform', or n! probabilities passing ``_check_probabilities``, divided by their sum."""
     nf = math.factorial(n)
     if text.strip() == "uniform":
         return (1.0 / nf,) * nf
-    values = _parse_floats(text)
+    values = _parse_list(text)
     if len(values) != nf:
         raise ValueError(f"expected {nf} probabilities for n={n}, got {len(values)}")
-    if any(v < 0.0 for v in values):
-        raise ValueError("probabilities must be nonnegative")
+    _check_probabilities(np.array([values]))
     total = math.fsum(values)
-    if abs(total - 1.0) > PROB_SUM_SLACK:
-        raise ValueError(f"probabilities must sum to 1, got {total}")
     return tuple(v / total for v in values)
 
 
-def _csv_header(n: int) -> str:
-    nf = math.factorial(n)
-    qcols = ",".join(f"q{j}" for j in range(1, n + 1))
+# ---------------------------------------------------------------------------
+# the grid pipeline, and holevo as its one-point grid
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """A rectangular parameter grid, as checked by ``_grid_spec``.
+
+    ``q_axes`` carries one value list per channel (the grid is their
+    cartesian product, channel 1 slowest); ``q_linked`` carries a single
+    list applied to every channel simultaneously. Exactly one is set.
+    """
+
+    n: int
+    d_values: tuple[int, ...]
+    q_axes: tuple[tuple[float, ...], ...] | None
+    q_linked: tuple[float, ...] | None
+    p_vectors: tuple[tuple[float, ...], ...]
+
+    def q_rows(self) -> Iterable[tuple[tuple[float, ...], str]]:
+        """Each q tuple of the grid in order, with its CSV fields.
+
+        Every distinct value is formatted once, not once per row.
+        """
+        if self.q_linked is not None:
+            for v in self.q_linked:
+                yield (v,) * self.n, ",".join([_fmt(v)] * self.n)
+        else:
+            axes = [[(v, _fmt(v)) for v in axis] for axis in self.q_axes]
+            for combo in product(*axes):
+                yield tuple(v for v, _ in combo), ",".join(text for _, text in combo)
+
+
+def _grid_spec(
+    n: int, d_values: Sequence[int], q_axes: Iterable[Sequence[float]] | None,
+    q_linked: Sequence[float] | None, p_texts: Iterable[str]
+) -> SweepSpec:
+    """The CLI's only input check: n, d, q, the q-list count, then each p text.
+
+    n comes first, so no n!-long vector is built for an n the assembly
+    cannot take; ``q_axes`` (one q list per channel) may be lazy until then.
+    """
+    _check_channel_count(n)
+    for d in d_values:
+        if d < 2:
+            raise ValueError(f"dimension must be >= 2, got {d}")
+    if q_axes is not None:
+        q_axes = tuple(tuple(axis) for axis in q_axes)
+    for v in chain(q_linked or (), *(q_axes or ())):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"transparency {v} outside [0, 1]")
+    if q_axes is not None and len(q_axes) != n:
+        raise ValueError(f"expected {n} per-channel q lists, got {len(q_axes)}")
+    p_vectors = tuple(_resolve_probs(text, n) for text in p_texts)
+    q_linked = None if q_linked is None else tuple(q_linked)
+    return SweepSpec(n, tuple(d_values), q_axes, q_linked, p_vectors)
+
+
+def _csv_lines(spec: SweepSpec) -> Iterator[str]:
+    """The CSV header, then one row per point: d slowest, then q, then p."""
+    nf = math.factorial(spec.n)
+    qcols = ",".join(f"q{j}" for j in range(1, spec.n + 1))
     pcols = ",".join(f"p{k}" for k in range(1, nf + 1))
-    return f"n,d,{qcols},{pcols},h_min,h_control,chi"
-
-
-def _csv_row(report: HolevoReport) -> str:
-    fields = [str(report.n), str(report.d)]
-    fields += [_fmt(v) for v in report.q]
-    fields += [_fmt(v) for v in report.probs]
-    fields += [_fmt(report.h_min), _fmt(report.h_control), _fmt(report.chi)]
-    return ",".join(fields)
-
-
-# ---------------------------------------------------------------------------
-# holevo
-# ---------------------------------------------------------------------------
+    yield f"n,d,{qcols},{pcols},h_min,h_control,chi"
+    p_rows = [(p, ",".join(map(_fmt, p))) for p in spec.p_vectors]
+    for d in spec.d_values:
+        size = max(1, SWEEP_CHUNK_ENTRIES // (nf * max(nf, d)))
+        # "%.6g" formats a float exactly as _fmt does; adding 0.0 turns
+        # -0.0 into 0.0 there and here.
+        row = f"{spec.n},{d},%s,%s,%.6g,%.6g,%.6g"
+        points = product(spec.q_rows(), p_rows)
+        while chunk := list(islice(points, size)):
+            q = [qs for (qs, _), _ in chunk]
+            probs = [p for _, (p, _) in chunk]
+            values = np.stack(holevo_batch(spec.n, d, q, probs), axis=1) + 0.0
+            for ((_, q_text), (_, p_text)), entropies in zip(chunk, values.tolist()):
+                yield row % (q_text, p_text, *entropies)
 
 
 def cmd_holevo(args: argparse.Namespace) -> int:
-    _check_channel_count(args.n)
-    q = _validate_q(_parse_floats(args.q))
-    if len(q) != args.n:
-        raise ValueError(f"expected {args.n} transparencies, got {len(q)}")
-    probs = _resolve_probs(args.p, args.n)
-    report = holevo_information(args.n, args.d, q, probs)
-    print(_csv_header(args.n))
-    print(_csv_row(report))
+    q = _parse_list(args.q)
+    spec = _grid_spec(args.n, (args.d,), [(v,) for v in q], None, [args.p])
+    # join() consumes every row before print() runs: a failed point prints nothing.
+    print("\n".join(_csv_lines(spec)))
     return EXIT_OK
 
 
@@ -152,47 +192,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A rectangular parameter grid and where to write its rows.
-
-    ``q_axes`` carries one value list per channel (the grid is their
-    cartesian product, channel 1 slowest); ``q_linked`` carries a single
-    list applied to every channel simultaneously. Exactly one is set.
-    """
-
-    n: int
-    d_values: tuple[int, ...]
-    q_axes: tuple[tuple[float, ...], ...] | None
-    q_linked: tuple[float, ...] | None
-    p_vectors: tuple[tuple[float, ...], ...]
-    output_path: str
-
-    def __post_init__(self):
-        if (self.q_axes is None) == (self.q_linked is None):
-            raise ValueError("exactly one of per-channel and linked q grids must be set")
-        if self.q_axes is not None and len(self.q_axes) != self.n:
-            raise ValueError(f"expected {self.n} per-channel q lists, got {len(self.q_axes)}")
-        for d in self.d_values:
-            if d < 2:
-                raise ValueError(f"dimension must be >= 2, got {d}")
-        if not self.output_path:
-            raise ValueError("an output path is required")
-
-    def q_rows(self) -> Iterable[tuple[tuple[float, ...], str]]:
-        """Each q tuple of the grid in order, with its CSV fields.
-
-        Every distinct value is formatted once, not once per row.
-        """
-        if self.q_linked is not None:
-            for v in self.q_linked:
-                yield (v,) * self.n, ",".join([_fmt(v)] * self.n)
-        else:
-            axes = [[(v, _fmt(v)) for v in axis] for axis in self.q_axes]
-            for combo in product(*axes):
-                yield tuple(v for v, _ in combo), ",".join(text for _, text in combo)
-
-
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
@@ -210,62 +209,15 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    config = _read_config(args.config) if args.config else {}
-
-    n = args.n if args.n is not None else (int(config["n"]) if "n" in config else None)
-    if n is None:
-        raise ValueError("the number of channels is required (--n or config key 'n')")
-    _check_channel_count(n)
-
-    if args.d is not None:
-        d_values = tuple(_parse_ints(args.d))
-    elif "d" in config:
-        d_values = tuple(_parse_ints(config["d"]))
-    else:
-        raise ValueError("dimension list is required (--d or config key 'd')")
-
-    q_axes = None
-    q_linked = None
-    if args.q and args.q_linked is not None:
-        raise ValueError("--q and --q-linked are mutually exclusive")
-    if args.q:
-        q_axes = tuple(tuple(_validate_q(_parse_floats(text))) for text in args.q)
-    elif args.q_linked is not None:
-        q_linked = tuple(_validate_q(_parse_floats(args.q_linked)))
-    elif "q_linked" in config:
-        q_linked = tuple(_validate_q(_parse_floats(config["q_linked"])))
-    elif any(f"q{j}" in config for j in range(1, n + 1)):
-        axes = []
-        for j in range(1, n + 1):
-            key = f"q{j}"
-            if key not in config:
-                raise ValueError(f"config is missing per-channel grid key '{key}'")
-            axes.append(tuple(_validate_q(_parse_floats(config[key]))))
-        q_axes = tuple(axes)
-    else:
+def _config_axes(config: dict[str, str], n: int) -> Iterator[list[float]]:
+    """Config keys q1..qn, read lazily: ``_grid_spec`` checks n before these loops run."""
+    if not any(f"q{j}" in config for j in range(1, n + 1)):
         raise ValueError("a q grid is required (--q per channel, --q-linked, or config)")
-
-    p_text = args.p if args.p else ([config["p"]] if "p" in config else ["uniform"])
-    p_vectors: list[tuple[float, ...]] = []
-    for chunk in p_text:
-        for vec in chunk.split(";"):
-            vec = vec.strip()
-            if vec:
-                p_vectors.append(_resolve_probs(vec, n))
-
-    output = args.out if args.out is not None else config.get("output")
-    if not output:
-        raise ValueError("an output path is required (--out or config key 'output')")
-
-    return SweepSpec(
-        n=n,
-        d_values=d_values,
-        q_axes=q_axes,
-        q_linked=q_linked,
-        p_vectors=tuple(p_vectors),
-        output_path=output,
-    )
+    for j in range(1, n + 1):
+        key = f"q{j}"
+        if key not in config:
+            raise ValueError(f"config is missing per-channel grid key '{key}'")
+        yield _parse_list(config[key])
 
 
 def _write_atomically(path: str, lines: Iterable[str]) -> None:
@@ -290,30 +242,40 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _build_sweep_spec(args)
-    nf = math.factorial(spec.n)
-    p_rows = [(p, ",".join(map(_fmt, p))) for p in spec.p_vectors]
+    config = _read_config(args.config) if args.config else {}
 
-    def lines() -> Iterable[str]:
-        """Rows in grid order: d slowest, then q, then p; one batch per chunk."""
-        yield _csv_header(spec.n)
-        for d in spec.d_values:
-            size = max(1, SWEEP_CHUNK_ENTRIES // (nf * max(nf, d)))
-            # "%.6g" formats a float exactly as _fmt does; adding 0.0 turns
-            # -0.0 into 0.0 there and here.
-            row = f"{spec.n},{d},%s,%s,%.6g,%.6g,%.6g"
-            points = product(spec.q_rows(), p_rows)
-            while chunk := list(islice(points, size)):
-                q = [qs for (qs, _), _ in chunk]
-                probs = [p for _, (p, _) in chunk]
-                values = np.stack(holevo_batch(spec.n, d, q, probs), axis=1) + 0.0
-                for ((_, q_text), (_, p_text)), entropies in zip(chunk, values.tolist()):
-                    yield row % (q_text, p_text, *entropies)
+    n = args.n if args.n is not None else (int(config["n"]) if "n" in config else None)
+    if n is None:
+        raise ValueError("the number of channels is required (--n or config key 'n')")
 
+    d_text = args.d if args.d is not None else config.get("d")
+    if d_text is None:
+        raise ValueError("dimension list is required (--d or config key 'd')")
+
+    q_axes = None
+    q_linked = None
+    if args.q and args.q_linked is not None:
+        raise ValueError("--q and --q-linked are mutually exclusive")
+    if args.q:
+        q_axes = [_parse_list(text) for text in args.q]
+    elif args.q_linked is not None:
+        q_linked = _parse_list(args.q_linked)
+    elif "q_linked" in config:
+        q_linked = _parse_list(config["q_linked"])
+    else:
+        q_axes = _config_axes(config, n)
+
+    p_text = args.p if args.p else ([config["p"]] if "p" in config else ["uniform"])
+    p_texts = [vec for chunk in p_text for vec in chunk.split(";") if vec.strip()]
+    spec = _grid_spec(n, _parse_list(d_text, int), q_axes, q_linked, p_texts)
+
+    output = args.out if args.out is not None else config.get("output")
+    if not output:
+        raise ValueError("an output path is required (--out or config key 'output')")
     try:
-        _write_atomically(spec.output_path, lines())
+        _write_atomically(output, _csv_lines(spec))
     except OSError as exc:
-        print(f"error: cannot write {spec.output_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {output}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
@@ -341,7 +303,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse gets a new namespace."""
     parser = argparse.ArgumentParser(
         prog="qnswitch",
         description=(
@@ -402,7 +366,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, SizeLimitError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -52,15 +52,15 @@ def _spectrum(matrix: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigensolver failed on a {matrix.shape} stack: {exc}") from exc
 
 
-def _entropy_bits(eigenvalues: np.ndarray, slack: float = EIGENVALUE_SLACK) -> float:
+def _entropy_bits(eigenvalues: np.ndarray) -> float:
     """Shannon entropy of a computed spectrum, with 0*log(0) = 0.
 
-    Eigenvalues in [-slack, 0) are treated as exact zeros; anything below
-    -slack means the computation went wrong and raises NumericalError.
+    Eigenvalues in [-EIGENVALUE_SLACK, 0) are treated as exact zeros; anything
+    below means the computation went wrong and raises NumericalError.
     """
     vals = np.asarray(eigenvalues, dtype=float)
     low = vals.min() if vals.size else 0.0
-    if low < -slack:
+    if low < -EIGENVALUE_SLACK:
         raise NumericalError(f"spectrum has a negative eigenvalue: {low}")
     vals = vals[vals > 0.0]
     return float(-(vals * np.log2(vals)).sum()) + 0.0

@@ -14,6 +14,7 @@ from qnswitch.cli import (
     main,
 )
 from qnswitch.errors import NumericalError
+from qnswitch.switch import ControlSpec
 
 
 def run(capsys, *argv):
@@ -361,6 +362,103 @@ class TestSweepCommand:
         assert len(rows) == 101
         assert float(rows[0][-1]) == pytest.approx(0.0980, abs=1e-3)
         assert float(rows[-1][-1]) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestProbabilityRule:
+    """One rule for control probabilities, wherever they enter.
+
+    n! nonnegative entries whose exact sum is within 1e-12 of 1; the CLI
+    then divides them by that sum and prints the result.
+    """
+
+    OFF_BY_1E10 = "0.5,0.5000000001"
+    # Sums to 1 + 1e-14. The first entry lies just above the point where
+    # 6 significant digits round up, so the printed value shows whether it
+    # was divided by the sum: 0.123457 as given, 0.123456 divided.
+    OFF_BY_1E14 = "0.12345650000000004,0.8765435000000099"
+    NEGATIVE = "-0.1,1.1"
+
+    SURFACES = ["holevo", "sweep-flag", "sweep-config", "ControlSpec"]
+
+    @staticmethod
+    def submit(surface, text, capsys, tmp_path):
+        """The printed p fields if ``text`` is accepted, else None."""
+        if surface == "ControlSpec":
+            try:
+                ControlSpec(2, tuple(float(v) for v in text.split(",")))
+            except ValueError:
+                return None
+            return []
+        out_path = tmp_path / "out.csv"
+        if surface == "holevo":
+            # "--p=" keeps a leading minus sign from reading as an option.
+            argv = ["holevo", "--n", "2", "--d", "2", "--q", "0.3,0.6", f"--p={text}"]
+        else:
+            argv = ["sweep", "--n", "2", "--d", "2", "--q-linked", "0.3", "--out", str(out_path)]
+            if surface == "sweep-flag":
+                argv.append(f"--p={text}")
+            else:
+                cfg = tmp_path / "sweep.cfg"
+                cfg.write_text(f"p = {text}\n")
+                argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        if code != EXIT_OK:
+            assert code == EXIT_USAGE
+            assert out == "" and not out_path.exists()
+            assert err.startswith("error:") and err.count("\n") == 1
+            return None
+        _, rows = parse_csv(out if surface == "holevo" else out_path.read_text())
+        assert len(rows) == 1
+        return rows[0][4:6]
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_sum_off_by_1e10_is_rejected(self, capsys, tmp_path, surface):
+        assert self.submit(surface, self.OFF_BY_1E10, capsys, tmp_path) is None
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_negative_entry_is_rejected(self, capsys, tmp_path, surface):
+        assert self.submit(surface, self.NEGATIVE, capsys, tmp_path) is None
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_sum_off_by_1e14_is_accepted_and_divided(self, capsys, tmp_path, surface):
+        fields = self.submit(surface, self.OFF_BY_1E14, capsys, tmp_path)
+        assert fields is not None
+        values = [float(v) for v in self.OFF_BY_1E14.split(",")]
+        total = math.fsum(values)
+        assert 0 < abs(total - 1.0) < 1e-13
+        assert format(values[0], ".6g") == "0.123457"
+        if surface != "ControlSpec":
+            assert fields == [format(v / total, ".6g") for v in values]
+            assert fields == ["0.123456", "0.876544"]
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call leaves state for the next."""
+
+    def test_parser_is_built_once(self):
+        import qnswitch.cli as cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_share_no_state(self, capsys, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--n", "2", "--d", "2", "--q", "0.1", "--q", "0.2",
+            "--p", "0.3,0.7", "--out", str(first),
+        )
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--q", "0.4", "--bogus")
+        assert code == EXIT_USAGE and out == ""
+        code, _, _ = run(
+            capsys, "sweep", "--n", "2", "--d", "3", "--q", "0.5", "--q", "0.6",
+            "--out", str(second),
+        )
+        assert code == EXIT_OK
+        _, rows = parse_csv(second.read_text())
+        assert [row[:6] for row in rows] == [["2", "3", "0.5", "0.6", "0.5", "0.5"]]
+        code, out, _ = run(capsys, "holevo", "--n", "1", "--d", "2", "--q", "0.5")
+        assert code == EXIT_OK
+        assert parse_csv(out)[1] == [["1", "2", "0.5", "1", "0.811278", "0", "0.188722"]]
 
 
 class TestNumericalFailures:

@@ -1,12 +1,19 @@
-"""Byte-identity gate: ``sweep`` output against frozen CSV fixtures.
+"""Byte-identity gate: ``sweep`` and ``holevo`` output against frozen fixtures.
 
-Each fixture under ``tests/golden`` is the file ``qnswitch sweep`` wrote for
-the arguments below with the per-point evaluation path, before sweeps were
-evaluated in batches. The grids cover N = 1, 3, 4 and 5 including the
-degenerate points q in {0, 1} and definite or partly zero controls, plus
-N = 2 grids with interior points only: at an N = 2 point with some q_j = 1
-or a definite control the hand-expanded closed form printed exact zeros
-where the contraction table leaves rounding residues of order 1e-16.
+Each sweep fixture under ``tests/golden`` is the file ``qnswitch sweep``
+wrote for the arguments below with the per-point evaluation path, before
+sweeps were evaluated in batches. The grids cover N = 1, 3, 4 and 5
+including the degenerate points q in {0, 1} and definite or partly zero
+controls, plus N = 2 grids with interior points only: at an N = 2 point with
+some q_j = 1 or a definite control the hand-expanded closed form printed
+exact zeros where the contraction table leaves rounding residues of order
+1e-16.
+
+Each ``holevo_*`` fixture is what ``qnswitch holevo`` printed for the
+arguments below while it still evaluated its point apart from the sweep
+pipeline. They cover N = 1..5, q in {0, 1} and interior values, uniform,
+definite and partly zero controls, and a 14-digit Dirichlet draw whose sum
+is off by 7e-15, so its entries are divided by their exact sum.
 """
 
 from pathlib import Path
@@ -46,9 +53,52 @@ CASES = {
     ],
 }
 
+# A Dirichlet draw (random.Random(1), 24 unit gamma variates) at 14 digits.
+DIRICHLET_24 = (
+    "0.0062579741245047,0.081543298135897,0.062582269061585,0.01277103563067,"
+    "0.029667964327306,0.025888369793149,0.045729144624034,0.067423194088625,"
+    "0.0042746389955463,0.0012472062408038,0.07834695017026,0.024590427770353,"
+    "0.062308739623104,9.143688469857e-05,0.025566255594603,0.055448345986254,"
+    "0.011265855541361,0.12600671202068,0.1004877998191,0.001347418003212,"
+    "0.0011178833046952,0.033811811949459,0.12140830024438,0.020816968065726"
+)
+
+HOLEVO_CASES = {
+    "holevo_n1_opaque": ["--n", "1", "--d", "2", "--q", "0"],
+    "holevo_n1_interior": ["--n", "1", "--d", "3", "--q", "0.5"],
+    "holevo_n2_erased": ["--n", "2", "--d", "2", "--q", "0,0", "--p", "uniform"],
+    "holevo_n2_transparent": ["--n", "2", "--d", "2", "--q", "1,1"],
+    "holevo_n2_skewed": ["--n", "2", "--d", "5", "--q", "0.3,0.8", "--p", "0.25,0.75"],
+    "holevo_n3_uniform": ["--n", "3", "--d", "2", "--q", "0,0,0"],
+    "holevo_n3_definite": ["--n", "3", "--d", "3", "--q", "0.2,1,0.6", "--p", "0,0,1,0,0,0"],
+    "holevo_n3_partly_zero": [
+        "--n", "3", "--d", "2", "--q", "0.1,0.5,0.9", "--p", "0.5,0,0.25,0,0.25,0",
+    ],
+    "holevo_n4_dirichlet": [
+        "--n", "4", "--d", "2", "--q", "0.15,0.35,0.55,0.75", "--p", DIRICHLET_24,
+    ],
+    "holevo_n4_edges": [
+        "--n", "4", "--d", "4", "--q", "0,1,0.45,1",
+        "--p", "0.5" + ",0" * 11 + ",0.5" + ",0" * 11,
+    ],
+    "holevo_n5_uniform": ["--n", "5", "--d", "2", "--q", "0,0.5,1,0.25,0.75"],
+    "holevo_n5_definite": [
+        "--n", "5", "--d", "3", "--q", "0.6,0.6,0.6,0.6,0.6",
+        "--p", ",".join(["0"] * 6 + ["1"] + ["0"] * 113),
+    ],
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_matches_golden_bytes(name, tmp_path):
     out_path = tmp_path / f"{name}.csv"
     assert main(["sweep", *CASES[name], "--out", str(out_path)]) == EXIT_OK
     assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(HOLEVO_CASES))
+def test_holevo_matches_golden_bytes(name, capsys):
+    assert main(["holevo", *HOLEVO_CASES[name]]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
