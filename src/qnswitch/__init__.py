@@ -27,7 +27,6 @@ from .holevo import (
     von_neumann_entropy,
 )
 from .switch import (
-    Block,
     ContractedTerm,
     ControlSpec,
     SwitchBlockMatrix,
@@ -51,7 +50,6 @@ from .symgroup import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block",
     "ContractedTerm",
     "ControlSpec",
     "DensityMatrix",

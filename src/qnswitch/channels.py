@@ -9,6 +9,7 @@ d x d matrices: tr(U_i^dag U_j) = d * delta_ij.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -83,6 +84,21 @@ def random_pure(d: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix.pure(v)
 
 
+def _check_dimension(d) -> int:
+    """The package's one dimension rule: d as an int if it is an integer >= 2, else ValueError."""
+    if not (math.isfinite(d) and d == int(d) and d >= 2):
+        raise ValueError(f"dimension must be an integer >= 2, got {d}")
+    return int(d)
+
+
+def _check_transparencies(q) -> None:
+    """The package's one transparency rule: every entry of q lies in [0, 1] (NaN fails)."""
+    values = np.asarray(q, dtype=float)
+    outside = values[~((values >= 0.0) & (values <= 1.0))]
+    if outside.size:
+        raise ValueError(f"transparency must lie in [0, 1], got {outside[0]}")
+
+
 @dataclass(frozen=True)
 class DepolarizingChannel:
     """Channel rho -> q*rho + (1-q)*I/d; 1-q is the depolarization strength."""
@@ -92,11 +108,8 @@ class DepolarizingChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "d", int(self.d))
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"transparency must lie in [0, 1], got {self.q}")
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
+        _check_transparencies(self.q)
+        object.__setattr__(self, "d", _check_dimension(self.d))
 
 
 @dataclass(frozen=True)
@@ -140,8 +153,7 @@ def weyl_basis(d: int) -> UnitaryBasis:
     and no extra global phase. Index i in 1..d^2 maps to the pair
     (a, b) = ((i-1) div d, (i-1) mod d), so index 1 is X(0)Z(0) = I.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _check_dimension(d)
     omega = np.exp(2j * np.pi / d)
     shift = np.zeros((d, d), dtype=complex)
     for l in range(d):
@@ -157,8 +169,7 @@ def weyl_basis(d: int) -> UnitaryBasis:
 
 def apply_depolarizing(rho: DensityMatrix, q: float) -> DensityMatrix:
     """Send rho to q*rho + (1-q)*I/d."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"transparency must lie in [0, 1], got {q}")
+    _check_transparencies(q)
     d = rho.d
     return DensityMatrix(q * rho.entries + (1.0 - q) * np.eye(d) / d)
 
@@ -171,8 +182,8 @@ def kraus_set(q: float, d: int, basis: UnitaryBasis | None = None) -> list[np.nd
     would be singular). Indices 1..d^2 are sqrt(1-q)/d times the Weyl
     unitaries. The set satisfies sum_i K_i^dag K_i = I.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"transparency must lie in [0, 1], got {q}")
+    _check_transparencies(q)
+    d = _check_dimension(d)
     if basis is None:
         basis = weyl_basis(d)
     elif basis.d != d:

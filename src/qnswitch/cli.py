@@ -6,9 +6,10 @@ a negative spectrum). All numeric CSV output is printed with 6 significant
 digits, so repeated runs with identical flags are byte-identical.
 
 ``holevo`` is a one-point grid through the pipeline of ``sweep``, with the
-same checks: the channel count first, then integer dimensions >= 2, q in
-[0, 1], one q list per channel, and n! nonnegative probabilities whose exact
-sum is within 1e-12 of 1, divided by that sum. The grid is evaluated in
+same checks: the channel count first, then the library's rules for d (an
+integer >= 2) and q (in [0, 1]), one q list per channel, and the library's
+control-vector rule (n! nonnegative entries whose exact sum is within 1e-12
+of 1; they are then divided by that sum). The grid is evaluated in
 fixed-size chunks, one ``holevo_batch`` call each, so memory does not grow
 with it. ``sweep`` streams its rows to a temporary file next to the output
 and renames it into place only when every row is written, so a failed sweep
@@ -30,6 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .channels import _check_dimension, _check_transparencies
 from .errors import NumericalError
 from .holevo import holevo_batch, holevo_information
 from .switch import _check_channel_count, _check_probabilities
@@ -70,9 +72,7 @@ def _resolve_probs(text: str, n: int) -> tuple[float, ...]:
     if text.strip() == "uniform":
         return (1.0 / nf,) * nf
     values = _parse_list(text)
-    if len(values) != nf:
-        raise ValueError(f"expected {nf} probabilities for n={n}, got {len(values)}")
-    _check_probabilities(np.array([values]))
+    _check_probabilities(np.array([values]), n)
     total = math.fsum(values)
     return tuple(v / total for v in values)
 
@@ -121,19 +121,15 @@ def _grid_spec(
     cannot take; ``q_axes`` (one q list per channel) may be lazy until then.
     """
     _check_channel_count(n)
-    for d in d_values:
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
+    d_values = tuple(_check_dimension(d) for d in d_values)
     if q_axes is not None:
         q_axes = tuple(tuple(axis) for axis in q_axes)
-    for v in chain(q_linked or (), *(q_axes or ())):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"transparency {v} outside [0, 1]")
+    _check_transparencies(list(chain(q_linked or (), *(q_axes or ()))))
     if q_axes is not None and len(q_axes) != n:
         raise ValueError(f"expected {n} per-channel q lists, got {len(q_axes)}")
     p_vectors = tuple(_resolve_probs(text, n) for text in p_texts)
     q_linked = None if q_linked is None else tuple(q_linked)
-    return SweepSpec(n, tuple(d_values), q_axes, q_linked, p_vectors)
+    return SweepSpec(n, d_values, q_axes, q_linked, p_vectors)
 
 
 def _csv_lines(spec: SweepSpec) -> Iterator[str]:
@@ -171,11 +167,10 @@ def cmd_holevo(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    if args.d_max < 2:
-        raise ValueError(f"--d-max must be >= 2, got {args.d_max}")
+    d_max = _check_dimension(args.d_max)
     print("d,chi_q2s,chi_q3s,ratio")
     ratios = []
-    for d in range(2, args.d_max + 1):
+    for d in range(2, d_max + 1):
         chi2 = holevo_information(2, d, (0.0, 0.0), (0.5, 0.5)).chi
         chi3 = holevo_information(3, d, (0.0, 0.0, 0.0), (1.0 / 6,) * 6).chi
         ratio = chi3 / chi2
@@ -244,9 +239,12 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _read_config(args.config) if args.config else {}
 
-    n = args.n if args.n is not None else (int(config["n"]) if "n" in config else None)
-    if n is None:
-        raise ValueError("the number of channels is required (--n or config key 'n')")
+    try:
+        n = args.n if args.n is not None else int(config["n"])
+    except KeyError:
+        raise ValueError("the number of channels is required (--n or config key 'n')") from None
+    except ValueError:
+        raise ValueError(f"config key 'n' must be an integer, got {config['n']!r}") from None
 
     d_text = args.d if args.d is not None else config.get("d")
     if d_text is None:
@@ -286,9 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verification(
-        seed=args.seed, budget=args.budget, inject_fault=args.self_test_fault
-    )
+    results = run_verification(seed=args.seed)
     failures = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -350,10 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the built-in verification suites")
     verify.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
-    verify.add_argument("--budget", type=int, help="index-tuple cap for brute-force sums")
-    verify.add_argument(
-        "--self-test-fault", action="store_true", help=argparse.SUPPRESS
-    )
     verify.set_defaults(func=cmd_verify)
     return parser
 

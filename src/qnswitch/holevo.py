@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _check_dimension, _check_transparencies
 from .errors import NumericalError
 from .switch import (
     SwitchBlockMatrix,
@@ -114,11 +115,9 @@ def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
     alpha_k = (1-q1 q2)/d + k q1 q2 and
     beta_k = (p1 q2 + q1 p2)/d + k (p1 p2/d^2 + q1 q2).
     """
-    for name, value in (("q1", q1), ("q2", q2), ("p", p)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_transparencies((q1, q2))
+    _check_probabilities(np.array([[p, 1.0 - p]]), 2)
+    d = _check_dimension(d)
     p1, p2 = 1.0 - q1, 1.0 - q2
     acc = 0.0
     for k in (0, 1):
@@ -162,20 +161,13 @@ def holevo_batch(n: int, d: int, q, probs) -> tuple[np.ndarray, np.ndarray, np.n
     ``ControlSpec`` and ``SwitchBlockMatrix`` check a single one.
     """
     _check_channel_count(n)
-    if d != int(d) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    d = int(d)
+    d = _check_dimension(d)
     q = np.asarray(q, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    if q.ndim != 2 or q.shape[1] != n:
-        raise ValueError(f"expected {n} transparencies per point, got shape {q.shape}")
-    nf = math.factorial(n)
-    if probs.shape != (len(q), nf):
-        raise ValueError(f"expected {nf} probabilities per point, got shape {probs.shape}")
-    outside = q[~((q >= 0.0) & (q <= 1.0))]
-    if outside.size:
-        raise ValueError(f"transparencies must lie in [0, 1], got {outside[0]}")
-    _check_probabilities(probs)
+    if q.shape != probs.shape[:1] + (n,):
+        raise ValueError(f"expected q of shape {probs.shape[:1] + (n,)}, got {q.shape}")
+    _check_transparencies(q)
+    _check_probabilities(probs, n)
     amps = np.sqrt(probs)
     density = amps[:, :, None] * amps[:, None, :]
     blocks = _subset_coefficients(n, d, q) * density[:, None]

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, DepolarizingChannel, kraus_set, weyl_basis
+from .channels import DensityMatrix, DepolarizingChannel, _check_dimension, kraus_set, weyl_basis
 from .errors import SizeLimitError
 from .symgroup import ZeroSubset, apply_order, enumerate_orders, zero_subsets
 
@@ -41,12 +41,16 @@ DEFAULT_TUPLE_BUDGET = 1_000_000
 MAX_ASSEMBLE_CHANNELS = 5
 
 
-def _check_probabilities(probs: np.ndarray) -> None:
+def _check_probabilities(probs: np.ndarray, n: int) -> None:
     """Reject a stack [G, n!] of control probabilities unless every row is valid.
 
-    Each row must be nonnegative and sum to 1 within 1e-12 (exactly summed).
+    The package's one control-vector rule: each row has n! entries, each
+    nonnegative (NaN fails), and sums to 1 within 1e-12 (exactly summed).
     """
-    if (probs < 0.0).any():
+    nf = math.factorial(n)
+    if probs.ndim != 2 or probs.shape[1] != nf:
+        raise ValueError(f"expected {nf} probabilities for n={n}, got {probs.shape[-1]}")
+    if not (probs >= 0.0).all():
         raise ValueError("probabilities must be nonnegative")
     for row in probs.tolist():
         total = math.fsum(row)
@@ -57,9 +61,12 @@ def _check_probabilities(probs: np.ndarray) -> None:
 def _check_blocks(d: int, blocks: np.ndarray) -> None:
     """Reject a stack [G, 2, n!, n!] of coefficients (a, b) unless every point is valid.
 
-    Each point's a and b must be exactly symmetric and nonnegative, and its
-    realized trace sum_k (d*a[k,k] + b[k,k]) must equal 1 within 1e-12.
+    The package's one block rule: each point's a and b must be finite,
+    exactly symmetric and nonnegative, and its realized trace
+    sum_k (d*a[k,k] + b[k,k]) must equal 1 within 1e-12.
     """
+    if not np.isfinite(blocks).all():
+        raise ValueError("block coefficients must be finite")
     if not (blocks == blocks.swapaxes(2, 3)).all():
         raise ValueError("block matrix must be exactly symmetric")
     if (blocks < 0).any():
@@ -84,10 +91,7 @@ class ControlSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        nf = math.factorial(self.n)
-        if len(self.probs) != nf:
-            raise ValueError(f"expected {nf} probabilities for n={self.n}, got {len(self.probs)}")
-        _check_probabilities(np.array([self.probs]))
+        _check_probabilities(np.array([self.probs]), self.n)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -115,26 +119,12 @@ class ControlSpec:
 
 
 @dataclass(frozen=True)
-class Block:
-    """One d x d block of the switch output, stored as a*I + b*rho."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ValueError(f"block coefficients must be finite: ({self.a}, {self.b})")
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError(f"block coefficients must be nonnegative: ({self.a}, {self.b})")
-
-
-@dataclass(frozen=True)
 class SwitchBlockMatrix:
     """The full switch output: an n! x n! array of blocks a*I + b*rho.
 
-    ``a`` and ``b`` hold the identity and rho coefficients of every block.
-    Both arrays are exactly symmetric, and the realized trace
-    sum_k (d*a[k,k] + b[k,k]) equals 1.
+    ``a[k-1, k'-1]`` and ``b[k-1, k'-1]`` are the identity and rho
+    coefficients of block (k, k'): finite, exactly symmetric and
+    nonnegative, with realized trace sum_k (d*a[k,k] + b[k,k]) = 1.
     """
 
     n: int
@@ -149,14 +139,11 @@ class SwitchBlockMatrix:
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", _check_dimension(self.d))
         nf = math.factorial(self.n)
         if a.shape != (nf, nf) or b.shape != (nf, nf):
             raise ValueError(f"coefficient arrays must be {nf}x{nf}")
         _check_blocks(self.d, np.stack([a, b])[None])
-
-    def block(self, k: int, kp: int) -> Block:
-        """1-based access to the (k, k') block coefficients."""
-        return Block(float(self.a[k - 1, kp - 1]), float(self.b[k - 1, kp - 1]))
 
 
 class TermKind(Enum):

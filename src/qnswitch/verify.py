@@ -151,7 +151,7 @@ def check_kraus_completeness(rng: np.random.Generator) -> CheckResult:
     return _result("kraus completeness", worst, 1e-12)
 
 
-def check_switch_completeness(rng: np.random.Generator, budget: int) -> CheckResult:
+def check_switch_completeness(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     cases = [
         (2, 2, (0.3, 0.7)),
@@ -160,11 +160,11 @@ def check_switch_completeness(rng: np.random.Generator, budget: int) -> CheckRes
     ]
     for n, d, qs in cases:
         chans = [ch.DepolarizingChannel(q, d) for q in qs]
-        worst = max(worst, sw.completeness_defect(chans, budget=budget))
+        worst = max(worst, sw.completeness_defect(chans))
     return _result("switch kraus completeness", worst, 1e-12)
 
 
-def check_oracle_equivalence(rng: np.random.Generator, budget: int) -> CheckResult:
+def check_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for n, d in product((2, 3), (2, 3)):
         for _ in range(3):
@@ -172,7 +172,7 @@ def check_oracle_equivalence(rng: np.random.Generator, budget: int) -> CheckResu
             ctrl = sw.ControlSpec(n, tuple(rng.dirichlet(np.ones(math.factorial(n)))))
             rho = ch.random_density(d, rng)
             dense = sw.realize(sw.assemble_blocks(chans, ctrl), rho)
-            reference = sw.kraus_sum_output(chans, ctrl, rho, budget=budget)
+            reference = sw.kraus_sum_output(chans, ctrl, rho)
             worst = max(worst, np.abs(dense - reference).max())
     return _result("assembled blocks vs brute-force sum", worst, 1e-10)
 
@@ -246,23 +246,17 @@ def check_chi_bounds(rng: np.random.Generator) -> CheckResult:
     )
 
 
-def run_verification(
-    seed: int = 42, budget: int | None = None, inject_fault: bool = False
-) -> list[CheckResult]:
+def run_verification(seed: int = 42) -> list[CheckResult]:
     """Run every suite; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
-    budget = sw.DEFAULT_TUPLE_BUDGET if budget is None else budget
-    results = [
+    return [
         check_causal_orders(rng),
         check_weyl_identities(rng),
         check_kraus_completeness(rng),
-        check_switch_completeness(rng, budget),
-        check_oracle_equivalence(rng, budget),
+        check_switch_completeness(rng),
+        check_oracle_equivalence(rng),
         check_contraction_tables(rng),
         check_closed_forms(rng),
         check_min_entropy_consistency(rng),
         check_chi_bounds(rng),
     ]
-    if inject_fault:
-        results.append(CheckResult("injected fault", False, "deliberate failure requested"))
-    return results

@@ -125,6 +125,11 @@ class TestTable1Command:
         data_rows = [r for r in rows if r[0] not in ("ratio_mean", "ratio_stddev")]
         assert len(data_rows) == 1
 
+    def test_rejects_d_max_below_two(self, capsys):
+        code, out, err = run(capsys, "table1", "--d-max", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: dimension must be an integer >= 2, got 1\n"
+
     def test_repeated_runs_are_byte_identical(self, capsys):
         _, first, _ = run(capsys, "table1", "--d-max", "4")
         _, second, _ = run(capsys, "table1", "--d-max", "4")
@@ -270,6 +275,16 @@ class TestSweepCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_non_integer_channel_count_in_config(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n = x\nd = 2\nq_linked = 0.5\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "config key 'n'" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("d", ["2.6", "2,3.0", "two"])
     def test_non_integer_dimension_rejected(self, capsys, tmp_path, d):
         out_path = tmp_path / "x.csv"
@@ -377,16 +392,21 @@ class TestProbabilityRule:
     # was divided by the sum: 0.123457 as given, 0.123456 divided.
     OFF_BY_1E14 = "0.12345650000000004,0.8765435000000099"
     NEGATIVE = "-0.1,1.1"
+    NAN = "nan,1"
 
     SURFACES = ["holevo", "sweep-flag", "sweep-config", "ControlSpec"]
 
     @staticmethod
-    def submit(surface, text, capsys, tmp_path):
-        """The printed p fields if ``text`` is accepted, else None."""
+    def submit(surface, text, capsys, tmp_path, reason=""):
+        """The printed p fields if ``text`` is accepted, else None.
+
+        A rejection must name ``reason`` in its message.
+        """
         if surface == "ControlSpec":
             try:
                 ControlSpec(2, tuple(float(v) for v in text.split(",")))
-            except ValueError:
+            except ValueError as exc:
+                assert reason in str(exc)
                 return None
             return []
         out_path = tmp_path / "out.csv"
@@ -406,6 +426,7 @@ class TestProbabilityRule:
             assert code == EXIT_USAGE
             assert out == "" and not out_path.exists()
             assert err.startswith("error:") and err.count("\n") == 1
+            assert reason in err
             return None
         _, rows = parse_csv(out if surface == "holevo" else out_path.read_text())
         assert len(rows) == 1
@@ -418,6 +439,11 @@ class TestProbabilityRule:
     @pytest.mark.parametrize("surface", SURFACES)
     def test_negative_entry_is_rejected(self, capsys, tmp_path, surface):
         assert self.submit(surface, self.NEGATIVE, capsys, tmp_path) is None
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_nan_entry_is_rejected(self, capsys, tmp_path, surface):
+        fields = self.submit(surface, self.NAN, capsys, tmp_path, reason="nonnegative")
+        assert fields is None
 
     @pytest.mark.parametrize("surface", SURFACES)
     def test_sum_off_by_1e14_is_accepted_and_divided(self, capsys, tmp_path, surface):
@@ -506,8 +532,16 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "FAIL" not in out
 
-    def test_injected_fault(self, capsys):
-        code, out, _ = run(capsys, "verify", "--self-test-fault")
+    def test_injected_fault(self, capsys, monkeypatch):
+        import qnswitch.cli as cli
+        from qnswitch.verify import CheckResult
+
+        real = cli.run_verification
+        monkeypatch.setattr(
+            cli, "run_verification",
+            lambda seed: real(seed) + [CheckResult("injected fault", False, "deliberate")],
+        )
+        code, out, _ = run(capsys, "verify")
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL" in out
 

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnswitch.channels import DepolarizingChannel, random_density, random_pure
+from qnswitch.channels import (
+    DepolarizingChannel,
+    kraus_set,
+    random_density,
+    random_pure,
+    weyl_basis,
+)
 import qnswitch.switch as sw
 from qnswitch.errors import NumericalError, SizeLimitError
 from qnswitch.holevo import (
@@ -402,15 +408,16 @@ def test_two_channel_batch_matches_closed_forms(d):
 class TestHolevoBatchArguments:
     def test_rejects_bad_points(self):
         ok_q, ok_p = [(0.5, 0.5)], [(0.5, 0.5)]
-        for q, probs in (
-            ([(0.5,)], ok_p),
-            ([(0.5, 1.5)], ok_p),
-            ([(0.5, float("nan"))], ok_p),
-            (ok_q, [(0.5, 0.5, 0.0)]),
-            (ok_q, [(1.5, -0.5)]),
-            (ok_q, [(0.7, 0.7)]),
+        for q, probs, message in (
+            ([(0.5,)], ok_p, "shape"),
+            ([(0.5, 1.5)], ok_p, "transparency"),
+            ([(0.5, float("nan"))], ok_p, "transparency"),
+            (ok_q, [(0.5, 0.5, 0.0)], "expected 2 probabilities"),
+            (ok_q, [(1.5, -0.5)], "nonnegative"),
+            (ok_q, [(float("nan"), 1.0)], "nonnegative"),
+            (ok_q, [(0.7, 0.7)], "sum to 1"),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 holevo_batch(2, 2, q, probs)
 
     def test_rejects_bad_sizes(self):
@@ -418,9 +425,19 @@ class TestHolevoBatchArguments:
             holevo_batch(6, 2, [(0.5,) * 6], [(1.0 / 720,) * 720])
         with pytest.raises(ValueError):
             holevo_batch(0, 2, [()], [(1.0,)])
-        for d in (1, 2.5):
-            with pytest.raises(ValueError):
-                holevo_batch(2, d, [(0.5, 0.5)], [(0.5, 0.5)])
+        # Every entry point that takes d applies the one dimension rule.
+        for make in (
+            lambda d: holevo_batch(2, d, [(0.5, 0.5)], [(0.5, 0.5)]),
+            lambda d: DepolarizingChannel(0.5, d),
+            weyl_basis,
+            lambda d: kraus_set(0.5, d),
+            lambda d: min_output_entropy_n2(0.5, 0.5, 0.5, d),
+            # a = 0 and a unit-trace b pass every block test at any d.
+            lambda d: SwitchBlockMatrix(n=2, d=d, a=np.zeros((2, 2)), b=np.eye(2) / 2),
+        ):
+            for d in (1, 1.5, 2.5, math.nan, math.inf):
+                with pytest.raises(ValueError, match="dimension"):
+                    make(d)
 
     @pytest.mark.parametrize(
         "entries,factor,message",

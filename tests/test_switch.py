@@ -11,7 +11,6 @@ from qnswitch.channels import (
 )
 from qnswitch.errors import SizeLimitError
 from qnswitch.switch import (
-    Block,
     ControlSpec,
     SwitchBlockMatrix,
     TermKind,
@@ -65,13 +64,15 @@ class TestControlSpec:
 
 
 class TestBlockTypes:
-    def test_block_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Block(-1e-3, 0.0)
-
-    def test_block_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Block(float("nan"), 0.0)
+    @pytest.mark.parametrize(
+        "value,message",
+        [(-1e-3, "nonnegative"), (float("nan"), "finite"), (math.inf, "finite"),
+         (-math.inf, "finite")],
+    )
+    def test_matrix_rejects_bad_off_diagonal(self, value, message):
+        a = np.array([[0.25, value], [value, 0.25]])
+        with pytest.raises(ValueError, match=message):
+            SwitchBlockMatrix(n=2, d=2, a=a, b=np.zeros((2, 2)))
 
     def test_matrix_rejects_asymmetric(self):
         a = np.array([[0.25, 0.1], [0.0, 0.25]])
@@ -206,9 +207,8 @@ class TestAssembleBlocks:
         ctrl = random_ctrl(3, rng)
         sbm = assemble_blocks(channels_for((q1, q2, q3), d), ctrl)
         w = math.sqrt(ctrl.probs[0] * ctrl.probs[5])
-        blk = sbm.block(1, 6)
-        assert blk.a == pytest.approx(w * (d * d * s2 + s0) / d**3, abs=1e-14)
-        assert blk.b == pytest.approx(
+        assert sbm.a[0, 5] == pytest.approx(w * (d * d * s2 + s0) / d**3, abs=1e-14)
+        assert sbm.b[0, 5] == pytest.approx(
             w * (d * d * s3 + t1 + t2 + t3) / d**2, abs=1e-14
         )
 
