@@ -10,11 +10,8 @@ from .channels import (
     DensityMatrix,
     DepolarizingChannel,
     UnitaryBasis,
-    apply_depolarizing,
-    compose_definite,
     kraus_set,
     random_density,
-    random_pure,
     weyl_basis,
 )
 from .errors import NumericalError, SizeLimitError
@@ -62,13 +59,11 @@ __all__ = [
     "TermKind",
     "UnitaryBasis",
     "ZeroSubset",
-    "apply_depolarizing",
     "apply_order",
     "assemble_blocks",
     "closed_form_n2",
     "closed_form_n3",
     "completeness_defect",
-    "compose_definite",
     "contract_pair",
     "control_marginal",
     "enumerate_orders",
@@ -78,7 +73,6 @@ __all__ = [
     "min_output_entropy",
     "min_output_entropy_n2",
     "random_density",
-    "random_pure",
     "realize",
     "von_neumann_entropy",
     "weyl_basis",

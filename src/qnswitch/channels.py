@@ -16,11 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import SizeLimitError
 from .symgroup import Permutation, apply_order
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+
+# Hard cap on d: an N = 5 point's output spectrum (n!*d floats) stays at 3.9 M.
+MAX_DIMENSION = 1 << 15
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -51,9 +55,6 @@ class DensityMatrix:
     def d(self) -> int:
         return self.entries.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
     @classmethod
     def basis_state(cls, d: int, index: int = 0) -> DensityMatrix:
         mat = np.zeros((d, d), dtype=complex)
@@ -78,14 +79,13 @@ def random_density(d: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(h / np.trace(h))
 
 
-def random_pure(d: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random pure state, uniform under the unitary group."""
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return DensityMatrix.pure(v)
-
-
 def _check_dimension(d) -> int:
-    """The package's one dimension rule: d as an int if it is an integer >= 2, else ValueError."""
+    """The package's one dimension rule: d as an int if it is an integer in 2..MAX_DIMENSION.
+
+    A larger d raises SizeLimitError, any other bad d ValueError.
+    """
+    if d > MAX_DIMENSION:  # exact for any int, where math.isfinite overflows on a huge one
+        raise SizeLimitError(f"dimension must be at most {MAX_DIMENSION}, got {d}")
     if not (math.isfinite(d) and d == int(d) and d >= 2):
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
     return int(d)
@@ -114,9 +114,9 @@ class DepolarizingChannel:
 
 @dataclass(frozen=True)
 class UnitaryBasis:
-    """d^2 unitaries forming a trace-orthogonal basis; element 1 is the identity.
+    """d^2 unitaries forming a trace-orthogonal basis; the first is the identity.
 
-    Domain indices are 1-based: element(i) for i in 1..d^2.
+    Domain index i in 1..d^2 is ``elements[i - 1]``.
     """
 
     d: int
@@ -137,12 +137,6 @@ class UnitaryBasis:
         gram = np.einsum("aij,bij->ab", stack.conj(), stack)
         if np.abs(gram - d * np.eye(d * d)).max() > HERMITIAN_TOL:
             raise ValueError("basis is not trace-orthogonal")
-
-    def element(self, i: int) -> np.ndarray:
-        """1-based access: element(1) is the identity."""
-        if not 1 <= i <= self.d * self.d:
-            raise ValueError(f"basis index must be in 1..{self.d * self.d}, got {i}")
-        return self.elements[i - 1]
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ digits, so repeated runs with identical flags are byte-identical.
 
 ``holevo`` is a one-point grid through the pipeline of ``sweep``, with the
 same checks: the channel count first, then the library's rules for d (an
-integer >= 2) and q (in [0, 1]), one q list per channel, and the library's
+integer in 2..32768) and q (in [0, 1]), one q list per channel, and the library's
 control-vector rule (n! nonnegative entries whose exact sum is within 1e-12
 of 1; they are then divided by that sum). The grid is evaluated in
 fixed-size chunks, one ``holevo_batch`` call each, so memory does not grow

@@ -53,20 +53,6 @@ def _spectrum(matrix: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigensolver failed on a {matrix.shape} stack: {exc}") from exc
 
 
-def _entropy_bits(eigenvalues: np.ndarray) -> float:
-    """Shannon entropy of a computed spectrum, with 0*log(0) = 0.
-
-    Eigenvalues in [-EIGENVALUE_SLACK, 0) are treated as exact zeros; anything
-    below means the computation went wrong and raises NumericalError.
-    """
-    vals = np.asarray(eigenvalues, dtype=float)
-    low = vals.min() if vals.size else 0.0
-    if low < -EIGENVALUE_SLACK:
-        raise NumericalError(f"spectrum has a negative eigenvalue: {low}")
-    vals = vals[vals > 0.0]
-    return float(-(vals * np.log2(vals)).sum()) + 0.0
-
-
 def von_neumann_entropy(matrix: np.ndarray) -> float:
     """Entropy in bits of a unit-trace Hermitian positive semidefinite matrix."""
     m = np.asarray(matrix)
@@ -80,7 +66,7 @@ def von_neumann_entropy(matrix: np.ndarray) -> float:
     vals = _spectrum(m)
     if vals.size and vals.min() < -EIGENVALUE_SLACK:
         raise ValueError(f"matrix has a negative eigenvalue: {vals.min()}")
-    return _entropy_bits(vals)
+    return float(_entropy_rows(vals[None])[0])
 
 
 def control_marginal(sbm: SwitchBlockMatrix) -> np.ndarray:
@@ -103,7 +89,7 @@ def min_output_entropy(sbm: SwitchBlockMatrix) -> float:
     top = sbm.a + sbm.b
     rest = sbm.a
     spectrum = np.concatenate([_spectrum(top), np.tile(_spectrum(rest), sbm.d - 1)])
-    return _entropy_bits(spectrum)
+    return float(_entropy_rows(spectrum[None])[0])
 
 
 def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
@@ -133,11 +119,12 @@ def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
 
 
 def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
-    """``_entropy_bits`` of every row of a [G, L] stack of spectra, bitwise.
+    """Shannon entropy in bits, with 0*log(0) = 0, of every row of a [G, L] stack.
 
-    Each row keeps its positive eigenvalues in order, and rows that keep the
-    same number of them share one last-axis reduction: equal lengths make
-    numpy sum every row in the order it sums the row alone.
+    Eigenvalues in [-EIGENVALUE_SLACK, 0) count as exact zeros; any lower one
+    raises NumericalError. Each row keeps its positive eigenvalues in order, and
+    rows that keep the same number of them share one last-axis reduction: equal
+    lengths make numpy sum every row in the order it sums the row alone.
     """
     low = spectra.min(axis=1)
     bad = np.flatnonzero(low < -EIGENVALUE_SLACK)

@@ -12,9 +12,9 @@ a*I + b*rho with nonnegative coefficients. The module provides
   times I or rho: each summed slot joins index wires, the word is I when
   the two output wires join and rho otherwise, and every closed loop of
   wires adds a factor d,
-* ``contraction_table``, the rule tabulated once per N for every
-  (A_z, k, k'), and ``assemble_blocks``, which weights that table with the
-  channel transparencies into the exact block matrix for any N up to 5,
+* ``contraction_table``, the rule tabulated once per N <= 5 for every
+  (A_z, k, k'), read entry by entry by ``contract_pair``; ``assemble_blocks``
+  weights it with the channel transparencies into the exact block matrix,
 * hand-expanded closed forms for N = 2 and N = 3,
 * a brute-force reference (``kraus_sum_output``) that sums the generalized
   Kraus operators tuple by tuple, used to cross-check the analytic path.
@@ -197,28 +197,8 @@ def _loop_rule(left: Sequence[int], right: Sequence[int]) -> tuple[bool, int]:
     return find(0) == find(2 * m + 1), m + loops
 
 
-@functools.cache
-def _order_images(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(p.image for p in enumerate_orders(n))
-
-
 def _restrict(order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(slot for slot in order if slot not in pinned)
-
-
-def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> ContractedTerm:
-    """Contract the summed word of causal-order pair (k, k') for subset A_z.
-
-    Slots listed in ``zeros`` carry the identity; the remaining slots are
-    summed over the unitary basis and evaluated by the loop-counting rule.
-    """
-    nf = math.factorial(zeros.n)
-    if not (1 <= k <= nf and 1 <= kp <= nf):
-        raise ValueError(f"order labels must be in 1..{nf}, got ({k}, {kp})")
-    orders = _order_images(zeros.n)
-    words = (_restrict(orders[label - 1], zeros.members) for label in (k, kp))
-    identity, power = _loop_rule(*words)
-    return ContractedTerm(TermKind.IDENTITY if identity else TermKind.RHO, power)
 
 
 class ContractionTable(NamedTuple):
@@ -245,7 +225,7 @@ def contraction_table(n: int) -> ContractionTable:
 
     Contractions depend only on (n, k, k', A_z), never on q, P or d.
     """
-    orders = _order_images(n)
+    orders = [p.image for p in enumerate_orders(n)]
     subsets = tuple(zs.members for z in range(n + 1) for zs in zero_subsets(n, z))
     table = np.empty((len(subsets), len(orders), len(orders), 2), dtype=np.int8)
     for s, members in enumerate(subsets):
@@ -262,6 +242,22 @@ def contraction_table(n: int) -> ContractionTable:
     identity.setflags(write=False)
     power.setflags(write=False)
     return ContractionTable(subsets, identity, power)
+
+
+def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> ContractedTerm:
+    """Contract the summed word of causal-order pair (k, k') for subset A_z.
+
+    Slots in ``zeros`` carry the identity, the others are summed over the
+    unitary basis; the value is one entry of ``contraction_table(zeros.n)``.
+    """
+    _check_channel_count(zeros.n)  # before the table, which grows as 2^n n!^2
+    nf = math.factorial(zeros.n)
+    if not (1 <= k <= nf and 1 <= kp <= nf):
+        raise ValueError(f"order labels must be in 1..{nf}, got ({k}, {kp})")
+    table = contraction_table(zeros.n)
+    at = (table.subsets.index(zeros.members), k - 1, kp - 1)
+    kind = TermKind.IDENTITY if table.identity[at] else TermKind.RHO
+    return ContractedTerm(kind, int(table.power[at]))
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,6 @@ class Permutation:
             inv[v - 1] = j + 1
         return Permutation(tuple(inv))
 
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
 
 def enumerate_orders(n: int) -> list[Permutation]:
     """All n! causal orders on n channels, in lexicographic order.
@@ -98,15 +94,6 @@ class ZeroSubset:
             raise ValueError(f"members must be sorted and distinct: {self.members}")
         if self.members and not (1 <= self.members[0] and self.members[-1] <= self.n):
             raise ValueError(f"members must lie in 1..{self.n}: {self.members}")
-
-    @property
-    def z(self) -> int:
-        return len(self.members)
-
-    @property
-    def complement(self) -> tuple[int, ...]:
-        inside = set(self.members)
-        return tuple(j for j in range(1, self.n + 1) if j not in inside)
 
 
 def zero_subsets(n: int, z: int) -> list[ZeroSubset]:

@@ -21,16 +21,16 @@ class TestWeylBasis:
         eye = np.eye(2)
         z = np.diag([1.0, -1.0])
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(basis.element(1), eye, atol=1e-15)
-        np.testing.assert_allclose(basis.element(2), z, atol=1e-15)
-        np.testing.assert_allclose(basis.element(3), x, atol=1e-15)
-        np.testing.assert_allclose(basis.element(4), x @ z, atol=1e-15)
+        np.testing.assert_allclose(basis.elements[0], eye, atol=1e-15)
+        np.testing.assert_allclose(basis.elements[1], z, atol=1e-15)
+        np.testing.assert_allclose(basis.elements[2], x, atol=1e-15)
+        np.testing.assert_allclose(basis.elements[3], x @ z, atol=1e-15)
 
     def test_qutrit_trace_orthogonality_all_pairs(self):
         basis = weyl_basis(3)
         for i in range(1, 10):
             for j in range(1, 10):
-                ip = np.trace(basis.element(i).conj().T @ basis.element(j))
+                ip = np.trace(basis.elements[i - 1].conj().T @ basis.elements[j - 1])
                 expected = 3.0 if i == j else 0.0
                 assert abs(ip - expected) < 1e-12
 
@@ -56,10 +56,6 @@ class TestWeylBasis:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             weyl_basis(1)
-
-    def test_element_index_guard(self):
-        with pytest.raises(ValueError):
-            weyl_basis(2).element(5)
 
     def test_non_orthogonal_set_rejected(self):
         eye = np.eye(2, dtype=complex)
@@ -133,7 +129,7 @@ class TestKrausSet:
         basis = weyl_basis(2)
         np.testing.assert_allclose(ops[0], np.zeros((2, 2)), atol=1e-15)
         for i in range(1, 5):
-            np.testing.assert_allclose(ops[i], basis.element(i) / 2, atol=1e-15)
+            np.testing.assert_allclose(ops[i], basis.elements[i - 1] / 2, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])

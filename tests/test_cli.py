@@ -136,6 +136,32 @@ class TestTable1Command:
         assert first == second
 
 
+class TestDimensionLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["holevo", "--n", "2", "--d", "1" + "0" * 400, "--q", "0.5,0.5"],
+            ["sweep", "--n", "2", "--d", "40000", "--q-linked", "0.5"],
+            ["table1", "--d-max", "40000"],
+        ],
+    )
+    def test_too_large_dimension_is_a_usage_error(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "x.csv"
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: dimension must be at most 32768, got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_largest_dimension_is_accepted(self, capsys):
+        code, out, err = run(capsys, "holevo", "--n", "2", "--d", "32768", "--q", "0.5,0.5")
+        assert code == EXIT_OK and err == ""
+        _, rows = parse_csv(out)
+        assert [row[1] for row in rows] == ["32768"]
+
+
 class TestSweepCommand:
     def test_linked_grid(self, capsys, tmp_path):
         out_path = tmp_path / "curve.csv"

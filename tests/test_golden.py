@@ -14,6 +14,10 @@ arguments below while it still evaluated its point apart from the sweep
 pipeline. They cover N = 1..5, q in {0, 1} and interior values, uniform,
 definite and partly zero controls, and a 14-digit Dirichlet draw whose sum
 is off by 7e-15, so its entries are divided by their exact sum.
+
+The ``table1`` fixtures are what ``qnswitch table1`` printed by default and
+with ``--d-max 15`` before ``contract_pair`` became a read of the
+contraction table.
 """
 
 from pathlib import Path
@@ -89,6 +93,9 @@ HOLEVO_CASES = {
 }
 
 
+TABLE1_CASES = {"table1": [], "table1_d15": ["--d-max", "15"]}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_matches_golden_bytes(name, tmp_path):
     out_path = tmp_path / f"{name}.csv"
@@ -99,6 +106,14 @@ def test_sweep_matches_golden_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(HOLEVO_CASES))
 def test_holevo_matches_golden_bytes(name, capsys):
     assert main(["holevo", *HOLEVO_CASES[name]]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE1_CASES))
+def test_table1_matches_golden_bytes(name, capsys):
+    assert main(["table1", *TABLE1_CASES[name]]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / f"{name}.csv").read_bytes()

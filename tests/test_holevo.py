@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnswitch.channels import (
+    MAX_DIMENSION,
+    DensityMatrix,
     DepolarizingChannel,
     kraus_set,
     random_density,
-    random_pure,
     weyl_basis,
 )
 import qnswitch.switch as sw
 from qnswitch.errors import NumericalError, SizeLimitError
 from qnswitch.holevo import (
-    _entropy_bits,
+    _entropy_rows,
     control_marginal,
     holevo_batch,
     holevo_information,
@@ -246,7 +247,8 @@ class TestHolevoInformation:
             chans = [DepolarizingChannel(q, d) for q in rng.uniform(size=n)]
             ctrl = ControlSpec(n, tuple(rng.dirichlet(np.ones(math.factorial(n)))))
             sbm = assemble_blocks(chans, ctrl)
-            dense = realize(sbm, random_pure(d, rng))
+            pure = DensityMatrix.pure(rng.normal(size=d) + 1j * rng.normal(size=d))
+            dense = realize(sbm, pure)
             assert von_neumann_entropy(dense) >= min_output_entropy(sbm) - 1e-9
             count += 1
 
@@ -383,7 +385,7 @@ def test_batch_is_bitwise_the_per_point_path(n, d, data):
         built = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(n, probs))
         assert built.a.tobytes() == sbm.a.tobytes() and built.b.tobytes() == sbm.b.tobytes()
         ref_min = min_output_entropy(sbm)
-        ref_control = _entropy_bits(np.linalg.eigvalsh(control_marginal(sbm)))
+        ref_control = _entropy_rows(np.linalg.eigvalsh(control_marginal(sbm))[None])[0]
         ref_chi = math.log2(d) + ref_control - ref_min
         got = (h_min[i], h_control[i], chi[i])
         assert np.array(got).tobytes() == np.array([ref_min, ref_control, ref_chi]).tobytes()
@@ -437,6 +439,9 @@ class TestHolevoBatchArguments:
         ):
             for d in (1, 1.5, 2.5, math.nan, math.inf):
                 with pytest.raises(ValueError, match="dimension"):
+                    make(d)
+            for d in (10**400, MAX_DIMENSION + 1):
+                with pytest.raises(SizeLimitError, match="dimension"):
                     make(d)
 
     @pytest.mark.parametrize(

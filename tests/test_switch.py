@@ -22,6 +22,8 @@ from qnswitch.switch import (
     contraction_table,
     kraus_sum_output,
     realize,
+    _loop_rule,
+    _restrict,
 )
 from qnswitch.symgroup import ZeroSubset, enumerate_orders, zero_subsets
 from qnswitch.verify import CONTRACTION_TABLE_N2, CONTRACTION_TABLE_N3
@@ -107,6 +109,10 @@ class TestContractPair:
             contract_pair(0, 1, ZeroSubset(2, ()))
         with pytest.raises(ValueError):
             contract_pair(1, 7, ZeroSubset(3, ()))
+        # n is checked before the table is built: at n = 6 it would hold
+        # 2^6 * 720^2 entries, and at n = 7 about 6.5 GB.
+        with pytest.raises(SizeLimitError):
+            contract_pair(1, 1, ZeroSubset(6, ()))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_symmetric_in_order_pair(self, n):
@@ -329,16 +335,22 @@ class TestDefiniteOrderEmbedding:
 class TestContractionTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_contract_pair(self, n):
+        # The reference applies the loop rule to the two restricted words
+        # directly, without the table's relative-order memo.
         table = contraction_table(n)
         nf = math.factorial(n)
         assert table.identity.shape == table.power.shape == (2**n, nf, nf)
         subsets = [zs for z in range(n + 1) for zs in zero_subsets(n, z)]
         assert table.subsets == tuple(zs.members for zs in subsets)
+        orders = [p.image for p in enumerate_orders(n)]
         for s, zeros in enumerate(subsets):
             for k, kp in product(range(1, nf + 1), repeat=2):
+                words = (_restrict(orders[label - 1], zeros.members) for label in (k, kp))
+                identity, power = _loop_rule(*words)
+                assert table.identity[s, k - 1, kp - 1] == identity
+                assert table.power[s, k - 1, kp - 1] == power
                 term = contract_pair(k, kp, zeros)
-                assert table.identity[s, k - 1, kp - 1] == (term.kind is TermKind.IDENTITY)
-                assert table.power[s, k - 1, kp - 1] == term.power
+                assert (term.kind is TermKind.IDENTITY, term.power) == (identity, power)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_and_read_only(self, n):
