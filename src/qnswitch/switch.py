@@ -17,7 +17,8 @@ a*I + b*rho with nonnegative coefficients. The module provides
   weights it with the channel transparencies into the exact block matrix,
 * hand-expanded closed forms for N = 2 and N = 3,
 * a brute-force reference (``kraus_sum_output``) that sums the generalized
-  Kraus operators tuple by tuple, used to cross-check the analytic path.
+  Kraus operators over a budget of index tuples, one Gram product of the
+  stacked order products per chunk, to cross-check the analytic path.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, DepolarizingChannel, _check_dimension, kraus_set, weyl_basis
+from .channels import DensityMatrix, DepolarizingChannel, _check_dimension, kraus_set
 from .errors import SizeLimitError
 from .symgroup import ZeroSubset, apply_order, enumerate_orders, zero_subsets
 
@@ -39,6 +39,8 @@ from .symgroup import ZeroSubset, apply_order, enumerate_orders, zero_subsets
 # assembly over n!^2 causal-order pairs.
 DEFAULT_TUPLE_BUDGET = 1_000_000
 MAX_ASSEMBLE_CHANNELS = 5
+# Complex entries (4 MB) per chunk of the brute-force sums' order products.
+CHUNK_ENTRIES = 1 << 18
 
 
 def _check_probabilities(probs: np.ndarray, n: int) -> None:
@@ -439,30 +441,44 @@ def realize(sbm: SwitchBlockMatrix, rho: DensityMatrix) -> np.ndarray:
 
 def _order_products(
     channels: Sequence[DepolarizingChannel], budget: int
-) -> tuple[int, int, list, list]:
+) -> tuple[int, int, int, Iterator[np.ndarray]]:
+    """(n, d, n!, chunks) for at most ``budget`` index tuples t.
+
+    A chunk is a new [n!, d, T*d] array, K_pi[t][a, b] at row a, column (t, b), t
+    row-major over (t_1..t_n): slots 1..g run jointly over consecutive
+    values, the others in full, to keep a chunk within CHUNK_ENTRIES. Each
+    product chains Kraus stacks in product order, then puts the tuple axes
+    back in slot order.
+    """
     n = len(channels)
     d = _channel_dimension(channels)
-    tuples = (d * d + 1) ** n
-    if tuples > budget:
-        raise SizeLimitError(
-            f"brute-force sum needs {tuples} index tuples, budget is {budget}"
-        )
-    basis = weyl_basis(d)
-    kraus = [kraus_set(ch.q, d, basis) for ch in channels]
-    slots = list(range(1, n + 1))
-    sequences = [apply_order(p, slots) for p in enumerate_orders(n)]
-    return n, d, kraus, sequences
+    m = d * d + 1
+    if m**n > budget:
+        raise SizeLimitError(f"brute-force sum needs {m**n} index tuples, budget is {budget}")
+    kraus = [np.array(kraus_set(ch.q, d)) for ch in channels]
+    orders = [apply_order(p, list(range(n))) for p in enumerate_orders(n)]
+    per_tuple = len(orders) * d * d
+    g = next((g for g in range(1, n) if per_tuple * m ** (n - g) <= CHUNK_ENTRIES), n)
+    step = max(1, CHUNK_ENTRIES // (per_tuple * m ** (n - g)))
+    # A free slot's stack as [d, (t, c)]: a product's rows gain its axis.
+    free = [stack.transpose(1, 0, 2).reshape(d, m * d) for stack in kraus[g:]]
 
+    def chunks() -> Iterator[np.ndarray]:
+        for lo in range(0, m**g, step):
+            joint = np.unravel_index(np.arange(lo, min(lo + step, m**g)), (m,) * g)
+            factors = [kraus[j][joint[j]] for j in range(g)] + free
+            ops = np.empty((len(orders), d, len(joint[0]) * m ** (n - g) * d), dtype=complex)
+            for k, seq in enumerate(orders):
+                acc = np.eye(d, dtype=complex)[None]
+                for j in seq:
+                    acc = acc @ factors[j]
+                    acc = acc.reshape(len(acc), -1, d)
+                tuple_axes = 2 + np.argsort([j for j in seq if j >= g])
+                acc = acc.reshape((len(acc), d) + (m,) * (n - g) + (d,))
+                ops[k] = acc.transpose(1, 0, *tuple_axes, n - g + 2).reshape(d, -1)
+            yield ops
 
-def _stacked_kraus(kraus, sequences, tup, d) -> np.ndarray:
-    """K_{pi_k} for every causal order k, stacked along axis 0."""
-    ops = np.empty((len(sequences), d, d), dtype=complex)
-    for k, seq in enumerate(sequences):
-        acc = kraus[seq[0] - 1][tup[seq[0] - 1]]
-        for slot in seq[1:]:
-            acc = acc @ kraus[slot - 1][tup[slot - 1]]
-        ops[k] = acc
-    return ops
+    return n, d, len(orders), chunks()
 
 
 def kraus_sum_output(
@@ -473,28 +489,21 @@ def kraus_sum_output(
 ) -> np.ndarray:
     """Switch output by direct summation of the generalized Kraus operators.
 
-    Sums W (rho tensor rho_c) W^dag over all (d^2+1)^n Kraus index tuples,
-    where W places K_{pi_k} on the control-diagonal block k. No analytic
-    grouping is used, which makes this the independent reference for
-    ``assemble_blocks``; it is exponential in n and guarded by ``budget``
-    (the maximum number of index tuples).
+    Sums W (rho tensor rho_c) W^dag over all (d^2+1)^n <= ``budget`` index
+    tuples, where W places K_{pi_k} on control block k. Each chunk's order
+    products K, as [n! d, T d], add the Gram product (K rho) K^dag, already
+    in the output's (k, a), (k', a') layout; the control amplitudes weight
+    the sum. No analytic grouping is used: this is the independent
+    reference for ``assemble_blocks``.
     """
-    n, d, kraus, sequences = _order_products(channels, budget)
+    n, d, nf, chunks = _order_products(channels, budget)
     if ctrl.n != n:
         raise ValueError(f"control is for {ctrl.n} channels, got {n}")
-    nf = len(sequences)
-    blocks = np.zeros((nf, nf, d, d), dtype=complex)
-    for tup in product(range(d * d + 1), repeat=n):
-        ops = _stacked_kraus(kraus, sequences, tup, d)
-        blocks += np.einsum("kab,bc,ldc->klad", ops, rho.entries, ops.conj())
-    amps = ctrl.amplitudes
     out = np.zeros((nf * d, nf * d), dtype=complex)
-    for k in range(nf):
-        for kp in range(nf):
-            out[k * d : (k + 1) * d, kp * d : (kp + 1) * d] = (
-                amps[k] * amps[kp] * blocks[k, kp]
-            )
-    return out
+    for ops in chunks:
+        left = (ops.reshape(-1, d) @ rho.entries).reshape(nf * d, -1)
+        out += left @ np.conj(ops, out=ops).reshape(nf * d, -1).T
+    return out * np.kron(ctrl.density(), np.ones((d, d)))
 
 
 def completeness_defect(
@@ -502,17 +511,10 @@ def completeness_defect(
 ) -> float:
     """Max entrywise deviation of sum_i W_i W_i^dag from the identity.
 
-    The generalized Kraus operators of the switch resolve the identity on
-    target and control exactly; this sums them tuple by tuple and reports
-    the numerical defect.
+    W_i W_i^dag is block diagonal, so this sums K_pi K_pi^dag over the same
+    chunked stacks and tuple budget as ``kraus_sum_output``, one stacked
+    Gram product per chunk, and reports the numerical defect.
     """
-    n, d, kraus, sequences = _order_products(channels, budget)
-    nf = len(sequences)
-    acc = np.zeros((nf, d, d), dtype=complex)
-    for tup in product(range(d * d + 1), repeat=n):
-        ops = _stacked_kraus(kraus, sequences, tup, d)
-        acc += np.einsum("kab,kcb->kac", ops, ops.conj())
-    full = np.zeros((nf * d, nf * d), dtype=complex)
-    for k in range(nf):
-        full[k * d : (k + 1) * d, k * d : (k + 1) * d] = acc[k]
-    return float(np.abs(full - np.eye(nf * d)).max())
+    _, d, _, chunks = _order_products(channels, budget)
+    acc = sum(ops @ ops.conj().transpose(0, 2, 1) for ops in chunks)
+    return float(np.abs(acc - np.eye(d)).max())

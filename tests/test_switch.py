@@ -306,15 +306,44 @@ class TestKrausSumOutput:
                 chans, ControlSpec.uniform(2), random_density(2, rng), budget=10
             )
 
-    def test_four_channels_empirical(self, rng):
-        # The frozen contraction tables stop at three channels, so check
-        # four channels against the brute-force sum once at small size.
-        chans = channels_for(rng.uniform(size=4), 2)
-        ctrl = random_ctrl(4, rng)
-        rho = random_density(2, rng)
-        dense = realize(assemble_blocks(chans, ctrl), rho)
-        reference = kraus_sum_output(chans, ctrl, rho)
-        assert np.abs(dense - reference).max() < 1e-10
+    @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2)])
+    def test_matches_assembled_blocks_beyond_frozen_tables(self, n, d):
+        # The frozen contraction tables stop at three channels; beyond them
+        # the brute-force sum is the only independent check.
+        rng = np.random.default_rng(100 * n + d)
+        for _ in range(2):
+            chans = channels_for(rng.uniform(size=n), d)
+            ctrl = random_ctrl(n, rng)
+            rho = random_density(d, rng)
+            dense = realize(assemble_blocks(chans, ctrl), rho)
+            reference = kraus_sum_output(chans, ctrl, rho)
+            assert np.abs(dense - reference).max() < 1e-10
+
+
+class TestChunkedKrausSum:
+    # 54 complex entries per tuple at n = 3, d = 3 (6 orders of 3x3): the
+    # sizes give chunks of 3 values of slot 1, of 4 joint values of slots
+    # 1 and 2, and of 7 joint values of all three slots.
+    @pytest.mark.parametrize("entries", [3 * 100 * 54, 4 * 10 * 54, 7 * 54])
+    def test_chunks_match_one_chunk(self, entries, rng, monkeypatch):
+        import qnswitch.switch as sw
+
+        chans = channels_for(rng.uniform(size=3), 3)
+        ctrl = random_ctrl(3, rng)
+        rho = random_density(3, rng)
+
+        def chunk_tuples():
+            chunks = sw._order_products(chans, sw.DEFAULT_TUPLE_BUDGET)[3]
+            return [ops.shape[2] // 3 for ops in chunks]
+
+        assert chunk_tuples() == [1000]
+        whole = kraus_sum_output(chans, ctrl, rho)
+        defect = completeness_defect(chans)
+        monkeypatch.setattr(sw, "CHUNK_ENTRIES", entries)
+        tuples = chunk_tuples()
+        assert len(tuples) >= 3 and sum(tuples) == 1000
+        assert np.abs(kraus_sum_output(chans, ctrl, rho) - whole).max() <= 1e-15
+        assert abs(completeness_defect(chans) - defect) <= 1e-15
 
 
 class TestDefiniteOrderEmbedding:
@@ -406,6 +435,10 @@ class TestCompletenessDefect:
 
     def test_qutrit_random(self, rng):
         assert completeness_defect(channels_for(rng.uniform(size=2), 3)) < 1e-12
+
+    def test_four_qubit_channels(self):
+        rng = np.random.default_rng(4)
+        assert completeness_defect(channels_for(rng.uniform(size=4), 2)) <= 1e-12
 
     def test_budget_guard(self):
         with pytest.raises(SizeLimitError):
