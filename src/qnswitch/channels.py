@@ -168,7 +168,7 @@ def apply_depolarizing(rho: DensityMatrix, q: float) -> DensityMatrix:
     return DensityMatrix(q * rho.entries + (1.0 - q) * np.eye(d) / d)
 
 
-def kraus_set(q: float, d: int, basis: UnitaryBasis | None = None) -> list[np.ndarray]:
+def kraus_set(q: float, d: int) -> list[np.ndarray]:
     """Kraus operators of the depolarizing channel, indexed 0..d^2.
 
     Index 0 is sqrt(q)*I, absorbing the transparent part of the channel
@@ -178,12 +178,8 @@ def kraus_set(q: float, d: int, basis: UnitaryBasis | None = None) -> list[np.nd
     """
     _check_transparencies(q)
     d = _check_dimension(d)
-    if basis is None:
-        basis = weyl_basis(d)
-    elif basis.d != d:
-        raise ValueError(f"basis dimension {basis.d} != requested {d}")
     scale = np.sqrt(1.0 - q) / d
-    return [np.sqrt(q) * np.eye(d, dtype=complex)] + [scale * u for u in basis.elements]
+    return [np.sqrt(q) * np.eye(d, dtype=complex)] + [scale * u for u in weyl_basis(d).elements]
 
 
 def compose_definite(

@@ -6,8 +6,8 @@ attained on pure states aligned with a basis vector, so the block structure
 reduces it to two n! x n! eigenproblems (target eigenvalue 1 and 0).
 
 ``holevo_batch`` is the one evaluation path for every N: G points at once,
-with one stacked eigensolve each for a + b, a and the control marginal
-d*a + b, every value bitwise what the point gives alone.
+with one eigensolve of their stacked a + b, a and control marginal d*a + b,
+every value bitwise what the point gives alone.
 ``holevo_information`` is its single-point form; the two-channel closed forms
 are independent checks, not part of the path.
 """
@@ -155,12 +155,15 @@ def holevo_batch(n: int, d: int, q, probs) -> tuple[np.ndarray, np.ndarray, np.n
         raise ValueError(f"expected q of shape {probs.shape[:1] + (n,)}, got {q.shape}")
     _check_transparencies(q)
     _check_probabilities(probs, n)
-    amps = np.sqrt(probs)
-    density = amps[:, :, None] * amps[:, None, :]
-    blocks = _subset_coefficients(n, d, q) * density[:, None]
+    amps = np.sqrt(probs)[:, None]
+    blocks = _subset_coefficients(n, d, q)
+    blocks *= amps[..., None] * amps[..., None, :]  # the control density
     _check_blocks(d, blocks)
     a, b = blocks[:, 0], blocks[:, 1]
-    top, rest, marginal = (_spectrum(m) for m in (a + b, a, d * a + b))
+    stack = np.stack([a, a, a])  # made a + b, a, d*a + b in place: no full-size temporaries
+    stack[2] *= d
+    stack[::2] += b
+    top, rest, marginal = _spectrum(stack)
     h_min = _entropy_rows(np.concatenate([top] + [rest] * (d - 1), axis=1))
     # The marginal is exactly symmetric with unit trace by construction, so
     # only the spectrum is checked, and a bad one is a numerical failure.

@@ -13,8 +13,8 @@ a*I + b*rho with nonnegative coefficients. The module provides
   the two output wires join and rho otherwise, and every closed loop of
   wires adds a factor d,
 * ``contraction_table``, the rule tabulated once per N <= 5 for every
-  (A_z, k, k'), read entry by entry by ``contract_pair``; ``assemble_blocks``
-  weights it with the channel transparencies into the exact block matrix,
+  (A_z, k, k'), read by ``contract_pair``; the block assembly sums the
+  weighted A_z once per distinct column and gathers the exact block matrix,
 * hand-expanded closed forms for N = 2 and N = 3,
 * a brute-force reference (``kraus_sum_output``) that sums the generalized
   Kraus operators over a budget of index tuples, one Gram product of the
@@ -209,11 +209,17 @@ class ContractionTable(NamedTuple):
     Axis 0 follows ``subsets`` (the A_z by size, then lexicographically),
     axes 1 and 2 the labels k - 1 and k' - 1. ``identity`` (bool) says
     whether the word is I rather than rho, ``power`` (int8) gives d's power.
+    ``column_identity`` and ``column_power`` ([2^n, U]) hold the U distinct
+    columns over axis 0 in order of first appearance, ``column`` ([n!, n!])
+    the one of each pair: ``power`` is ``column_power[:, column]``.
     """
 
     subsets: tuple[tuple[int, ...], ...]
     identity: np.ndarray
     power: np.ndarray
+    column_identity: np.ndarray
+    column_power: np.ndarray
+    column: np.ndarray
 
 
 @functools.cache
@@ -240,10 +246,16 @@ def contraction_table(n: int) -> ContractionTable:
             dtype=np.int8,
         )
         table[s] = distinct[pick[:, None], pick[None, :]]
-    identity, power = table[..., 0] == 1, table[..., 1].copy()
-    identity.setflags(write=False)
-    power.setflags(write=False)
-    return ContractionTable(subsets, identity, power)
+    # Pairs (k, k') whose (identity, power) columns over the subsets match share one.
+    pairs = table.view(np.int16).reshape(len(subsets), -1).T.copy()  # byte pairs as int16
+    columns: dict[bytes, int] = {}
+    keys = pairs.view(np.dtype((np.void, pairs[0].nbytes))).ravel().tolist()
+    column = np.reshape([columns.setdefault(key, len(columns)) for key in keys], table.shape[1:3])
+    unique = np.frombuffer(b"".join(columns), dtype=np.int8).reshape(len(columns), -1, 2).T
+    arrays = table[..., 0] == 1, table[..., 1].copy(), unique[0] == 1, unique[1].copy(), column
+    for array in arrays:
+        array.setflags(write=False)
+    return ContractionTable(subsets, *arrays)
 
 
 def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> ContractedTerm:
@@ -276,17 +288,6 @@ def _channel_dimension(channels: Sequence[DepolarizingChannel]) -> int:
     return d
 
 
-@functools.lru_cache(maxsize=4)
-def _block_scales(n: int, d: int) -> np.ndarray:
-    """d^power per (subset, k, k'), split into I and rho: [2^n, 2, n!, n!]."""
-    table = contraction_table(n)
-    powers = np.array([float(d) ** p for p in range(int(table.power.max()) + 1)])
-    scale = powers[table.power]
-    split = np.stack([scale * table.identity, scale * ~table.identity], axis=1)
-    split.setflags(write=False)
-    return split
-
-
 def _check_channel_count(n: int) -> None:
     if n < 1:
         raise ValueError(f"at least one channel is required, got n={n}")
@@ -301,23 +302,24 @@ def _subset_coefficients(n: int, d: int, q: np.ndarray) -> np.ndarray:
 
     Returns [G, 2, n!, n!] (I then rho) for q of shape [G, n]. The subset
     weights multiply channel by channel and the subsets are added one by
-    one in table order, so every row is bitwise what the same sum gives for
-    that point alone.
+    one in table order into each distinct column of the table, so every
+    entry is bitwise what the same sum gives for that point alone.
     """
-    subsets = contraction_table(n).subsets
-    scales = _block_scales(n, d)
-    pinned = np.array([[j in members for j in range(1, n + 1)] for members in subsets])
+    table = contraction_table(n)
+    pinned = np.array([[j in members for j in range(1, n + 1)] for members in table.subsets])
     factors = np.where(pinned, q[:, None, :], 1.0 - q[:, None, :])
     weight = np.ones(factors.shape[:2])
     for j in range(n):
         weight *= factors[:, :, j]
-    weight *= [float(d) ** (2 * (len(members) - n)) for members in subsets]
-    coeff = np.zeros((len(q),) + scales.shape[1:])
-    columns = weight.T[:, :, None, None, None]
-    for column, scale, live in zip(columns, scales, weight.any(axis=0).tolist()):
+    weight *= [float(d) ** (2 * (len(members) - n)) for members in table.subsets]
+    powers = np.array([float(d) ** p for p in range(int(table.column_power.max()) + 1)])
+    scale = powers[table.column_power]
+    split = np.stack([scale * table.column_identity, scale * ~table.column_identity], axis=1)
+    sums = np.zeros((len(q),) + split.shape[1:])
+    for column, terms, live in zip(weight.T[:, :, None, None], split, weight.any(axis=0).tolist()):
         if live:  # a subset with weight 0 at every point would add +0.0
-            coeff += column * scale
-    return coeff
+            sums += column * terms
+    return np.take(sums, table.column, axis=2)
 
 
 def assemble_blocks(

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import qnswitch.cli as cli
 from qnswitch.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -98,6 +99,16 @@ TABLE1_CASES = {"table1": [], "table1_d15": ["--d-max", "15"]}
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_matches_golden_bytes(name, tmp_path):
+    out_path = tmp_path / f"{name}.csv"
+    assert main(["sweep", *CASES[name], "--out", str(out_path)]) == EXIT_OK
+    assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("entries", [1, 1 << 30])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_bytes_do_not_depend_on_chunk_size(name, entries, tmp_path, monkeypatch):
+    # One point per batch, then the whole grid of each d in one batch.
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", entries)
     out_path = tmp_path / f"{name}.csv"
     assert main(["sweep", *CASES[name], "--out", str(out_path)]) == EXIT_OK
     assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

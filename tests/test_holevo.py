@@ -340,17 +340,27 @@ def test_channel_relabeling_invariance(n, d, data):
 
 
 def _per_point_blocks(n, d, q, probs):
-    """The block matrix by a scalar loop over the subsets, one point at a time."""
+    """The block matrix by a scalar loop over (subset, k, k'), one point at a time.
+
+    It reads the table's full ``identity`` and ``power`` arrays, not the
+    distinct columns the batch sums over, and raises d to each power itself.
+    """
     table = sw.contraction_table(n)
-    scales = sw._block_scales(n, d)
-    coeff = np.zeros(scales.shape[1:])
-    for members, scale in zip(table.subsets, scales):
+    nf = math.factorial(n)
+    coeff = [[[0.0] * nf for _ in range(nf)] for _ in range(2)]
+    for members, identity, power in zip(table.subsets, table.identity, table.power):
         weight = 1.0
         for j, x in enumerate(q, start=1):
             weight *= x if j in members else (1.0 - x)
         if weight == 0.0:
             continue
-        coeff += (weight * float(d) ** (2 * (len(members) - n))) * scale
+        weight *= float(d) ** (2 * (len(members) - n))
+        for k, (kinds, powers) in enumerate(zip(identity.tolist(), power.tolist())):
+            for kp, (kind, p) in enumerate(zip(kinds, powers)):
+                # The batch also adds weight * 0.0 = +0.0 to the other
+                # coefficient, which leaves its bits as they are.
+                coeff[0 if kind else 1][k][kp] += weight * float(d) ** p
+    coeff = np.array(coeff)
     density = ControlSpec(n, probs).density()
     return SwitchBlockMatrix(n=n, d=d, a=coeff[0] * density, b=coeff[1] * density)
 

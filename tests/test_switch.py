@@ -381,6 +381,18 @@ class TestContractionTable:
                 term = contract_pair(k, kp, zeros)
                 assert (term.kind is TermKind.IDENTITY, term.power) == (identity, power)
 
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 8), (4, 64), (5, 1012)])
+    def test_distinct_columns_rebuild_the_table(self, n, count):
+        # The block assembly sums over the distinct columns only, so they
+        # must gather back to every (subset, k, k') entry and be distinct.
+        table = contraction_table(n)
+        assert table.column_identity.shape == table.column_power.shape == (2**n, count)
+        assert table.column.shape == table.identity.shape[1:]
+        assert np.array_equal(table.column_identity[:, table.column], table.identity)
+        assert np.array_equal(table.column_power[:, table.column], table.power)
+        columns = zip(table.column_identity.T, table.column_power.T)
+        assert len({(kind.tobytes(), power.tobytes()) for kind, power in columns}) == count
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_and_read_only(self, n):
         table = contraction_table(n)
@@ -408,10 +420,7 @@ class TestConcurrentAssembly:
         # contraction table; concurrent cold builds must agree.
         from concurrent.futures import ThreadPoolExecutor
 
-        import qnswitch.switch as sw
-
         contraction_table.cache_clear()
-        sw._block_scales.cache_clear()
         chans = channels_for((0.2, 0.5, 0.8), 2)
         params = [tuple(rng.dirichlet(np.ones(6))) for _ in range(16)]
 
