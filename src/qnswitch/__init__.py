@@ -24,10 +24,8 @@ from .holevo import (
     von_neumann_entropy,
 )
 from .switch import (
-    ContractedTerm,
     ControlSpec,
     SwitchBlockMatrix,
-    TermKind,
     assemble_blocks,
     closed_form_n2,
     closed_form_n3,
@@ -47,7 +45,6 @@ from .symgroup import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractedTerm",
     "ControlSpec",
     "DensityMatrix",
     "DepolarizingChannel",
@@ -56,7 +53,6 @@ __all__ = [
     "Permutation",
     "SizeLimitError",
     "SwitchBlockMatrix",
-    "TermKind",
     "UnitaryBasis",
     "ZeroSubset",
     "apply_order",

@@ -12,8 +12,9 @@ a*I + b*rho with nonnegative coefficients. The module provides
   times I or rho: each summed slot joins index wires, the word is I when
   the two output wires join and rho otherwise, and every closed loop of
   wires adds a factor d,
-* ``contraction_table``, the rule tabulated once per N <= 5 for every
-  (A_z, k, k'), read by ``contract_pair``; the block assembly sums the
+* ``contraction_table``, the rule tabulated once per N <= 5 as the
+  distinct columns of (word is I, power) pairs over the A_z and the column
+  of each (k, k'), read by ``contract_pair``; the block assembly sums the
   weighted A_z once per distinct column and gathers the exact block matrix,
 * hand-expanded closed forms for N = 2 and N = 3,
 * a brute-force reference (``kraus_sum_output``) that sums the generalized
@@ -26,12 +27,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, DepolarizingChannel, _check_dimension, kraus_set
+from .channels import (
+    DensityMatrix, DepolarizingChannel, _check_dimension, _check_transparencies, kraus_set
+)
 from .errors import SizeLimitError
 from .symgroup import ZeroSubset, apply_order, enumerate_orders, zero_subsets
 
@@ -148,23 +150,6 @@ class SwitchBlockMatrix:
         _check_blocks(self.d, np.stack([a, b])[None])
 
 
-class TermKind(Enum):
-    IDENTITY = "identity"
-    RHO = "rho"
-
-
-@dataclass(frozen=True)
-class ContractedTerm:
-    """A fully contracted word: d**power times either I or rho."""
-
-    kind: TermKind
-    power: int
-
-    def __post_init__(self):
-        if self.power < 0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
-
-
 # ---------------------------------------------------------------------------
 # Loop counting. The word U_{l1}..U_{lm} rho U_{rm}^dag..U_{r1}^dag of m
 # live slots is a product of 2m+1 factors on 2m+2 index wires: wire 0 is
@@ -204,21 +189,18 @@ def _restrict(order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple[int, ...
 
 
 class ContractionTable(NamedTuple):
-    """Every contraction of n channels as read-only [2^n, n!, n!] arrays.
+    """Every contraction of n channels as read-only distinct columns.
 
-    Axis 0 follows ``subsets`` (the A_z by size, then lexicographically),
-    axes 1 and 2 the labels k - 1 and k' - 1. ``identity`` (bool) says
-    whether the word is I rather than rho, ``power`` (int8) gives d's power.
-    ``column_identity`` and ``column_power`` ([2^n, U]) hold the U distinct
-    columns over axis 0 in order of first appearance, ``column`` ([n!, n!])
-    the one of each pair: ``power`` is ``column_power[:, column]``.
+    A contraction is a pair (word is I, power of d). ``identity`` (bool) and
+    ``power`` (int8) are [2^n, U] arrays: axis 0 follows ``subsets`` (the A_z
+    by size, then lexicographically), axis 1 the U distinct columns over
+    the subsets in order of first appearance. ``column`` ([n!, n!]) gives
+    the column of pair (k, k') at [k - 1, k' - 1].
     """
 
     subsets: tuple[tuple[int, ...], ...]
     identity: np.ndarray
     power: np.ndarray
-    column_identity: np.ndarray
-    column_power: np.ndarray
     column: np.ndarray
 
 
@@ -252,26 +234,26 @@ def contraction_table(n: int) -> ContractionTable:
     keys = pairs.view(np.dtype((np.void, pairs[0].nbytes))).ravel().tolist()
     column = np.reshape([columns.setdefault(key, len(columns)) for key in keys], table.shape[1:3])
     unique = np.frombuffer(b"".join(columns), dtype=np.int8).reshape(len(columns), -1, 2).T
-    arrays = table[..., 0] == 1, table[..., 1].copy(), unique[0] == 1, unique[1].copy(), column
+    arrays = unique[0] == 1, unique[1].copy(), column
     for array in arrays:
         array.setflags(write=False)
     return ContractionTable(subsets, *arrays)
 
 
-def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> ContractedTerm:
+def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> tuple[bool, int]:
     """Contract the summed word of causal-order pair (k, k') for subset A_z.
 
     Slots in ``zeros`` carry the identity, the others are summed over the
-    unitary basis; the value is one entry of ``contraction_table(zeros.n)``.
+    unitary basis. Returns (word is I, power of d) like ``_loop_rule``, read
+    through the pair's column of ``contraction_table(zeros.n)``.
     """
     _check_channel_count(zeros.n)  # before the table, which grows as 2^n n!^2
     nf = math.factorial(zeros.n)
-    if not (1 <= k <= nf and 1 <= kp <= nf):
-        raise ValueError(f"order labels must be in 1..{nf}, got ({k}, {kp})")
+    if not all(isinstance(x, (int, np.integer)) and 1 <= x <= nf for x in (k, kp)):
+        raise ValueError(f"order labels must be integers in 1..{nf}, got ({k!r}, {kp!r})")
     table = contraction_table(zeros.n)
-    at = (table.subsets.index(zeros.members), k - 1, kp - 1)
-    kind = TermKind.IDENTITY if table.identity[at] else TermKind.RHO
-    return ContractedTerm(kind, int(table.power[at]))
+    at = (table.subsets.index(zeros.members), table.column[k - 1, kp - 1])
+    return bool(table.identity[at]), int(table.power[at])
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +294,9 @@ def _subset_coefficients(n: int, d: int, q: np.ndarray) -> np.ndarray:
     for j in range(n):
         weight *= factors[:, :, j]
     weight *= [float(d) ** (2 * (len(members) - n)) for members in table.subsets]
-    powers = np.array([float(d) ** p for p in range(int(table.column_power.max()) + 1)])
-    scale = powers[table.column_power]
-    split = np.stack([scale * table.column_identity, scale * ~table.column_identity], axis=1)
+    powers = np.array([float(d) ** p for p in range(int(table.power.max()) + 1)])
+    scale = powers[table.power]
+    split = np.stack([scale * table.identity, scale * ~table.identity], axis=1)
     sums = np.zeros((len(q),) + split.shape[1:])
     for column, terms, live in zip(weight.T[:, :, None, None], split, weight.any(axis=0).tolist()):
         if live:  # a subset with weight 0 at every point would add +0.0
@@ -350,6 +332,7 @@ def closed_form_n2(q1: float, q2: float, ctrl: ControlSpec, d: int) -> SwitchBlo
     diagonal blocks are P_k [(r0+r1) I/d + r2 rho] and the off-diagonal
     block is sqrt(P1 P2) [(r0 + d^2 r2) rho/d^2 + r1 I/d].
     """
+    _check_transparencies((q1, q2))
     if ctrl.n != 2:
         raise ValueError("control must describe two channels")
     p1, p2 = 1.0 - q1, 1.0 - q2
@@ -383,6 +366,7 @@ def closed_form_n3(
     off-diagonal entries below follow the causal-order labeling of
     ``enumerate_orders(3)``.
     """
+    _check_transparencies((q1, q2, q3))
     if ctrl.n != 3:
         raise ValueError("control must describe three channels")
     p1, p2, p3 = 1.0 - q1, 1.0 - q2, 1.0 - q3

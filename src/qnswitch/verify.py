@@ -20,12 +20,11 @@ from . import switch as sw
 from .symgroup import ZeroSubset, apply_order, enumerate_orders, zero_subsets
 
 # ---------------------------------------------------------------------------
-# Frozen contraction tables: zero-subset members -> {(k, k'): (kind, power)}.
+# Frozen contraction tables: zero-subset members -> {(k, k'): (word is I, power)}.
 # A missing pair map entry means the value applies to all n!^2 pairs.
 # ---------------------------------------------------------------------------
 
-_I = sw.TermKind.IDENTITY
-_R = sw.TermKind.RHO
+_I, _R = True, False
 
 # Two channels: diagonal pairs contract to d^3 I, the swapped pair to
 # d^2 rho; one pinned slot gives d I everywhere, both pinned give rho.
@@ -181,9 +180,9 @@ def check_contraction_tables(rng: np.random.Generator) -> CheckResult:
     for n, table in ((2, CONTRACTION_TABLE_N2), (3, CONTRACTION_TABLE_N3)):
         for members, pairs in table.items():
             zeros = ZeroSubset(n, members)
-            for (k, kp), (kind, power) in pairs.items():
+            for (k, kp), expected in pairs.items():
                 term = sw.contract_pair(k, kp, zeros)
-                if term.kind is not kind or term.power != power:
+                if term != expected:
                     return CheckResult(
                         "contraction tables",
                         False,

@@ -9,6 +9,7 @@ from qnswitch.channels import (
     MAX_DIMENSION,
     DensityMatrix,
     DepolarizingChannel,
+    apply_depolarizing,
     kraus_set,
     random_density,
     weyl_basis,
@@ -29,6 +30,7 @@ from qnswitch.switch import (
     SwitchBlockMatrix,
     assemble_blocks,
     closed_form_n2,
+    closed_form_n3,
     realize,
 )
 from qnswitch.symgroup import enumerate_orders
@@ -340,14 +342,14 @@ def test_channel_relabeling_invariance(n, d, data):
 
 
 def _per_point_blocks(n, d, q, probs):
-    """The block matrix by a scalar loop over (subset, k, k'), one point at a time.
+    """The block matrix of one point, summed subset by subset in table order.
 
-    It reads the table's full ``identity`` and ``power`` arrays, not the
-    distinct columns the batch sums over, and raises d to each power itself.
+    Each subset's row of the table is gathered to every (k, k') through
+    ``column`` before it is weighted and added, so the per-column sums the
+    batch gathers from are not used, and d is raised to each power here.
     """
     table = sw.contraction_table(n)
-    nf = math.factorial(n)
-    coeff = [[[0.0] * nf for _ in range(nf)] for _ in range(2)]
+    coeff = np.zeros((2,) + table.column.shape)
     for members, identity, power in zip(table.subsets, table.identity, table.power):
         weight = 1.0
         for j, x in enumerate(q, start=1):
@@ -355,12 +357,11 @@ def _per_point_blocks(n, d, q, probs):
         if weight == 0.0:
             continue
         weight *= float(d) ** (2 * (len(members) - n))
-        for k, (kinds, powers) in enumerate(zip(identity.tolist(), power.tolist())):
-            for kp, (kind, p) in enumerate(zip(kinds, powers)):
-                # The batch also adds weight * 0.0 = +0.0 to the other
-                # coefficient, which leaves its bits as they are.
-                coeff[0 if kind else 1][k][kp] += weight * float(d) ** p
-    coeff = np.array(coeff)
+        word_is_identity = identity[table.column]
+        # The other plane gains weight * 0.0 = +0.0, as in the batch, which
+        # leaves its bits as they are.
+        term = weight * float(d) ** power[table.column].astype(float)
+        coeff += np.stack([word_is_identity, ~word_is_identity]) * term
     density = ControlSpec(n, probs).density()
     return SwitchBlockMatrix(n=n, d=d, a=coeff[0] * density, b=coeff[1] * density)
 
@@ -453,6 +454,21 @@ class TestHolevoBatchArguments:
             for d in (10**400, MAX_DIMENSION + 1):
                 with pytest.raises(SizeLimitError, match="dimension"):
                     make(d)
+
+    @pytest.mark.parametrize("q", [1.2, -0.1, math.nan])
+    def test_rejects_bad_transparency(self, q):
+        # Every entry point that takes q applies the one transparency rule.
+        for make in (
+            lambda q: DepolarizingChannel(q, 2),
+            lambda q: kraus_set(q, 2),
+            lambda q: apply_depolarizing(DensityMatrix.maximally_mixed(2), q),
+            lambda q: min_output_entropy_n2(q, 0.5, 0.5, 2),
+            lambda q: holevo_batch(2, 2, [(0.5, q)], [(0.5, 0.5)]),
+            lambda q: closed_form_n2(q, 0.5, ControlSpec.uniform(2), 2),
+            lambda q: closed_form_n3(0.5, 0.5, q, ControlSpec.uniform(3), 2),
+        ):
+            with pytest.raises(ValueError, match="transparency"):
+                make(q)
 
     @pytest.mark.parametrize(
         "entries,factor,message",

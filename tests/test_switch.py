@@ -13,7 +13,6 @@ from qnswitch.errors import SizeLimitError
 from qnswitch.switch import (
     ControlSpec,
     SwitchBlockMatrix,
-    TermKind,
     assemble_blocks,
     closed_form_n2,
     closed_form_n3,
@@ -87,28 +86,31 @@ class TestBlockTypes:
 
 
 class TestContractPair:
+    # A contraction is (word is I, power of d).
     def test_two_channel_diagonal(self):
-        term = contract_pair(1, 1, ZeroSubset(2, ()))
-        assert (term.kind, term.power) == (TermKind.IDENTITY, 3)
+        assert contract_pair(1, 1, ZeroSubset(2, ())) == (True, 3)
 
     def test_two_channel_swapped(self):
-        term = contract_pair(1, 2, ZeroSubset(2, ()))
-        assert (term.kind, term.power) == (TermKind.RHO, 2)
+        assert contract_pair(1, 2, ZeroSubset(2, ())) == (False, 2)
 
     def test_three_channel_rotation(self):
-        term = contract_pair(1, 4, ZeroSubset(3, ()))
-        assert (term.kind, term.power) == (TermKind.RHO, 4)
+        assert contract_pair(1, 4, ZeroSubset(3, ())) == (False, 4)
 
     def test_all_slots_pinned(self):
         for k, kp in product(range(1, 7), repeat=2):
-            term = contract_pair(k, kp, ZeroSubset(3, (1, 2, 3)))
-            assert (term.kind, term.power) == (TermKind.RHO, 0)
+            assert contract_pair(k, kp, ZeroSubset(3, (1, 2, 3))) == (False, 0)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             contract_pair(0, 1, ZeroSubset(2, ()))
         with pytest.raises(ValueError):
             contract_pair(1, 7, ZeroSubset(3, ()))
+        # A float label is rejected, not used as an index.
+        with pytest.raises(ValueError, match="integers"):
+            contract_pair(1.0, 2, ZeroSubset(2, ()))
+        with pytest.raises(ValueError, match="integers"):
+            contract_pair(1, 2.5, ZeroSubset(2, ()))
+        assert contract_pair(np.int64(1), np.int8(2), ZeroSubset(2, ())) == (False, 2)
         # n is checked before the table is built: at n = 6 it would hold
         # 2^6 * 720^2 entries, and at n = 7 about 6.5 GB.
         with pytest.raises(SizeLimitError):
@@ -131,14 +133,9 @@ class TestContractPair:
     def test_full_regression_tables(self, n, table):
         for members, pairs in table.items():
             zeros = ZeroSubset(n, members)
-            for (k, kp), (kind, power) in pairs.items():
+            for (k, kp), expected in pairs.items():
                 term = contract_pair(k, kp, zeros)
-                assert term.kind is kind and term.power == power, (
-                    n,
-                    members,
-                    (k, kp),
-                    term,
-                )
+                assert term == expected, (n, members, (k, kp), term)
 
 
 class TestAssembleBlocks:
@@ -191,11 +188,11 @@ class TestAssembleBlocks:
             for kp in range(1, 7):
                 a, b = sbm.a[k - 1, kp - 1], sbm.b[k - 1, kp - 1]
                 w = 1.0 / 6.0
-                kind, _ = rho_pairs[(k, kp)]
+                identity, _ = rho_pairs[(k, kp)]
                 if k == kp:
                     assert a == pytest.approx(w / d, abs=1e-15)
                     assert b == pytest.approx(0.0, abs=1e-15)
-                elif kind is TermKind.RHO:
+                elif not identity:
                     assert a == pytest.approx(0.0, abs=1e-15)
                     assert b == pytest.approx(w / d**2, abs=1e-15)
                 else:
@@ -368,39 +365,38 @@ class TestContractionTable:
         # directly, without the table's relative-order memo.
         table = contraction_table(n)
         nf = math.factorial(n)
-        assert table.identity.shape == table.power.shape == (2**n, nf, nf)
+        assert table.column.shape == (nf, nf)
         subsets = [zs for z in range(n + 1) for zs in zero_subsets(n, z)]
         assert table.subsets == tuple(zs.members for zs in subsets)
         orders = [p.image for p in enumerate_orders(n)]
         for s, zeros in enumerate(subsets):
             for k, kp in product(range(1, nf + 1), repeat=2):
                 words = (_restrict(orders[label - 1], zeros.members) for label in (k, kp))
-                identity, power = _loop_rule(*words)
-                assert table.identity[s, k - 1, kp - 1] == identity
-                assert table.power[s, k - 1, kp - 1] == power
-                term = contract_pair(k, kp, zeros)
-                assert (term.kind is TermKind.IDENTITY, term.power) == (identity, power)
+                expected = _loop_rule(*words)
+                column = table.column[k - 1, kp - 1]
+                assert (table.identity[s, column], table.power[s, column]) == expected
+                assert contract_pair(k, kp, zeros) == expected
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 8), (4, 64), (5, 1012)])
     def test_distinct_columns_rebuild_the_table(self, n, count):
         # The block assembly sums over the distinct columns only, so they
-        # must gather back to every (subset, k, k') entry and be distinct.
+        # must be distinct, each used by some pair, and numbered in order of
+        # first appearance over the pairs (k, k') in row-major order.
         table = contraction_table(n)
-        assert table.column_identity.shape == table.column_power.shape == (2**n, count)
-        assert table.column.shape == table.identity.shape[1:]
-        assert np.array_equal(table.column_identity[:, table.column], table.identity)
-        assert np.array_equal(table.column_power[:, table.column], table.power)
-        columns = zip(table.column_identity.T, table.column_power.T)
+        assert table.identity.shape == table.power.shape == (2**n, count)
+        columns = zip(table.identity.T, table.power.T)
         assert len({(kind.tobytes(), power.tobytes()) for kind, power in columns}) == count
+        _, first = np.unique(table.column, return_index=True)
+        assert np.array_equal(table.column.ravel()[np.sort(first)], np.arange(count))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_and_read_only(self, n):
         table = contraction_table(n)
-        assert np.array_equal(table.identity, table.identity.transpose(0, 2, 1))
-        assert np.array_equal(table.power, table.power.transpose(0, 2, 1))
+        assert np.array_equal(table.column, table.column.T)
         assert table.identity.dtype == bool and table.power.dtype == np.int8
-        with pytest.raises(ValueError):
-            table.power[0, 0, 0] = 1
+        for array in table[1:]:
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_diagonal_and_pinned_subsets(self, n):
@@ -408,9 +404,9 @@ class TestContractionTable:
         # d tr(rho) I, then d^2 per further layer, so d^(2n-1) I. With every
         # slot pinned the word is bare rho.
         table = contraction_table(n)
-        diagonal = np.arange(math.factorial(n))
-        assert table.identity[0][diagonal, diagonal].all()
-        assert (table.power[0][diagonal, diagonal] == 2 * n - 1).all()
+        diagonal = table.column.diagonal()
+        assert table.identity[0, diagonal].all()
+        assert (table.power[0, diagonal] == 2 * n - 1).all()
         assert not table.identity[-1].any() and not table.power[-1].any()
 
 
