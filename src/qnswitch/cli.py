@@ -34,7 +34,7 @@ import numpy as np
 from .channels import _check_dimension, _check_transparencies
 from .errors import NumericalError
 from .holevo import holevo_batch, holevo_information
-from .switch import _check_channel_count, _check_probabilities
+from .switch import ControlSpec, _check_channel_count, _check_probabilities
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -67,9 +67,8 @@ def _parse_list(text: str, kind: type = float) -> list:
 
 def _resolve_probs(text: str, n: int) -> tuple[float, ...]:
     """'uniform', or n! probabilities passing ``_check_probabilities``, divided by their sum."""
-    nf = math.factorial(n)
     if text.strip() == "uniform":
-        return (1.0 / nf,) * nf
+        return ControlSpec.uniform(n).probs
     values = _parse_list(text)
     _check_probabilities(np.array([values]), n)
     total = math.fsum(values)

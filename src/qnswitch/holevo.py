@@ -6,10 +6,10 @@ attained on pure states aligned with a basis vector, so the block structure
 reduces it to two n! x n! eigenproblems (target eigenvalue 1 and 0).
 
 ``holevo_batch`` is the one evaluation path for every N: G points at once,
-with one eigensolve of their stacked a + b, a and control marginal d*a + b,
-every value bitwise what the point gives alone.
-``holevo_information`` is its single-point form; the two-channel closed forms
-are independent checks, not part of the path.
+``switch``'s block stage, then one spectral stage that solves their stacked
+a + b, a and control marginal d*a + b in one eigensolve, every value bitwise
+what the point gives alone. ``holevo_information`` and ``min_output_entropy``
+reach the same stages; the two-channel closed forms are independent checks.
 """
 
 from __future__ import annotations
@@ -19,17 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _check_dimension, _check_transparencies
+from .channels import DensityMatrix, _check_dimension, _check_transparencies
 from .errors import NumericalError
 from .switch import (
     SwitchBlockMatrix,
     _check_blocks,
     _check_channel_count,
     _check_probabilities,
-    _subset_coefficients,
+    _switch_blocks,
 )
 
-TRACE_SLACK = 1e-9
 EIGENVALUE_SLACK = 1e-9
 
 
@@ -54,19 +53,12 @@ def _spectrum(matrix: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(matrix: np.ndarray) -> float:
-    """Entropy in bits of a unit-trace Hermitian positive semidefinite matrix."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > TRACE_SLACK:
-        raise ValueError("matrix is not Hermitian")
-    trace = complex(np.trace(m)).real
-    if abs(trace - 1.0) > TRACE_SLACK:
-        raise ValueError(f"matrix trace {trace} != 1")
-    vals = _spectrum(m)
-    if vals.size and vals.min() < -EIGENVALUE_SLACK:
-        raise ValueError(f"matrix has a negative eigenvalue: {vals.min()}")
-    return float(_entropy_rows(vals[None])[0])
+    """Entropy in bits of a matrix that passes the ``DensityMatrix`` rule.
+
+    The spectrum is taken of the matrix as given, so a real input stays real.
+    """
+    DensityMatrix(matrix)
+    return float(_entropy_rows(_spectrum(np.asarray(matrix))[None])[0])
 
 
 def control_marginal(sbm: SwitchBlockMatrix) -> np.ndarray:
@@ -86,10 +78,8 @@ def min_output_entropy(sbm: SwitchBlockMatrix) -> float:
     and plain a at each of the d-1 empty ones. The output spectrum is the
     union of their eigenvalues with multiplicities 1 and d-1.
     """
-    top = sbm.a + sbm.b
-    rest = sbm.a
-    spectrum = np.concatenate([_spectrum(top), np.tile(_spectrum(rest), sbm.d - 1)])
-    return float(_entropy_rows(spectrum[None])[0])
+    h_min, _ = _block_entropies(sbm.d, np.stack([sbm.a, sbm.b])[None])
+    return float(h_min[0])
 
 
 def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
@@ -140,6 +130,22 @@ def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_entropies(d: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h_min, h_control) in bits of a checked [G, 2, n!, n!] block stack, in one eigensolve."""
+    a, b = blocks[:, 0], blocks[:, 1]
+    stack = np.stack([a, a, a])  # made a + b, a, d*a + b in place: no full-size temporaries
+    stack[2] *= d
+    stack[::2] += b
+    top, rest, marginal = _spectrum(stack)
+    # Tiled, not weighted by d - 1: the weighted sum rounds differently (chi is
+    # 4.44089e-16, not 0, at n = 1, d = 7, q = 0) and changes the sweep's CSV bytes.
+    h_min = _entropy_rows(np.concatenate([top] + [rest] * (d - 1), axis=1))
+    # The marginal is exactly symmetric with unit trace by construction, so
+    # only the spectrum is checked, and a bad one is a numerical failure.
+    h_control = _entropy_rows(marginal)
+    return h_min, h_control
+
+
 def holevo_batch(n: int, d: int, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h_min, h_control, chi) in bits for G points of n channels at dimension d.
 
@@ -155,19 +161,9 @@ def holevo_batch(n: int, d: int, q, probs) -> tuple[np.ndarray, np.ndarray, np.n
         raise ValueError(f"expected q of shape {probs.shape[:1] + (n,)}, got {q.shape}")
     _check_transparencies(q)
     _check_probabilities(probs, n)
-    amps = np.sqrt(probs)[:, None]
-    blocks = _subset_coefficients(n, d, q)
-    blocks *= amps[..., None] * amps[..., None, :]  # the control density
+    blocks = _switch_blocks(n, d, q, probs)
     _check_blocks(d, blocks)
-    a, b = blocks[:, 0], blocks[:, 1]
-    stack = np.stack([a, a, a])  # made a + b, a, d*a + b in place: no full-size temporaries
-    stack[2] *= d
-    stack[::2] += b
-    top, rest, marginal = _spectrum(stack)
-    h_min = _entropy_rows(np.concatenate([top] + [rest] * (d - 1), axis=1))
-    # The marginal is exactly symmetric with unit trace by construction, so
-    # only the spectrum is checked, and a bad one is a numerical failure.
-    h_control = _entropy_rows(marginal)
+    h_min, h_control = _block_entropies(d, blocks)
     return h_min, h_control, math.log2(d) + h_control - h_min
 
 

@@ -14,11 +14,12 @@ a*I + b*rho with nonnegative coefficients. The module provides
   wires adds a factor d,
 * ``contraction_table``, the rule tabulated once per N <= 5 as the
   distinct columns of (word is I, power) pairs over the A_z and the column
-  of each (k, k'), read by ``contract_pair``; the block assembly sums the
-  weighted A_z once per distinct column and gathers the exact block matrix,
+  of each (k, k'), read by ``contract_pair``; the one block stage, behind
+  ``holevo_batch`` and ``assemble_blocks``, sums the weighted A_z once per
+  distinct column, gathers the exact blocks and weights them by sqrt(P_k P_k'),
 * hand-expanded closed forms for N = 2 and N = 3,
 * a brute-force reference (``kraus_sum_output``) that sums the generalized
-  Kraus operators over a budget of index tuples, one Gram product of the
+  Kraus operators over at most TUPLE_BUDGET index tuples, one Gram product of the
   stacked order products per chunk, to cross-check the analytic path.
 """
 
@@ -35,11 +36,13 @@ from .channels import (
     DensityMatrix, DepolarizingChannel, _check_dimension, _check_transparencies, kraus_set
 )
 from .errors import SizeLimitError
-from .symgroup import ZeroSubset, apply_order, enumerate_orders, zero_subsets
+from .symgroup import (
+    ZeroSubset, _check_order_count, apply_order, enumerate_orders, zero_subsets
+)
 
 # Hard caps: the brute-force sums run over (d^2+1)^n index tuples, the block
 # assembly over n!^2 causal-order pairs.
-DEFAULT_TUPLE_BUDGET = 1_000_000
+TUPLE_BUDGET = 1_000_000
 MAX_ASSEMBLE_CHANNELS = 5
 # Complex entries (4 MB) per chunk of the brute-force sums' order products.
 CHUNK_ENTRIES = 1 << 18
@@ -60,6 +63,13 @@ def _check_probabilities(probs: np.ndarray, n: int) -> None:
         total = math.fsum(row)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {total}")
+
+
+def _check_order_label(n: int, k) -> None:
+    """The package's one order-label rule: k is an integer (numpy integers too) in 1..n!."""
+    nf = math.factorial(n)
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= nf):
+        raise ValueError(f"order labels must be integers in 1..{nf}, got {k!r}")
 
 
 def _check_blocks(d: int, blocks: np.ndarray) -> None:
@@ -94,6 +104,7 @@ class ControlSpec:
     probs: tuple[float, ...]
 
     def __post_init__(self):
+        _check_order_count(self.n)
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         _check_probabilities(np.array([self.probs]), self.n)
 
@@ -108,16 +119,16 @@ class ControlSpec:
 
     @classmethod
     def uniform(cls, n: int) -> ControlSpec:
+        _check_order_count(n)
         nf = math.factorial(n)
         return cls(n, (1.0 / nf,) * nf)
 
     @classmethod
     def definite(cls, n: int, k: int) -> ControlSpec:
         """All weight on causal order k (1-based)."""
-        nf = math.factorial(n)
-        if not 1 <= k <= nf:
-            raise ValueError(f"order label must be in 1..{nf}, got {k}")
-        probs = [0.0] * nf
+        _check_order_count(n)
+        _check_order_label(n, k)
+        probs = [0.0] * math.factorial(n)
         probs[k - 1] = 1.0
         return cls(n, tuple(probs))
 
@@ -248,9 +259,8 @@ def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> tuple[bool, int]:
     through the pair's column of ``contraction_table(zeros.n)``.
     """
     _check_channel_count(zeros.n)  # before the table, which grows as 2^n n!^2
-    nf = math.factorial(zeros.n)
-    if not all(isinstance(x, (int, np.integer)) and 1 <= x <= nf for x in (k, kp)):
-        raise ValueError(f"order labels must be integers in 1..{nf}, got ({k!r}, {kp!r})")
+    for label in (k, kp):
+        _check_order_label(zeros.n, label)
     table = contraction_table(zeros.n)
     at = (table.subsets.index(zeros.members), table.column[k - 1, kp - 1])
     return bool(table.identity[at]), int(table.power[at])
@@ -279,13 +289,13 @@ def _check_channel_count(n: int) -> None:
         )
 
 
-def _subset_coefficients(n: int, d: int, q: np.ndarray) -> np.ndarray:
-    """Block coefficients before the control weights, one row of q per point.
+def _switch_blocks(n: int, d: int, q: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Control-weighted block coefficients [G, 2, n!, n!] (I then rho) for q [G, n], probs [G, n!].
 
-    Returns [G, 2, n!, n!] (I then rho) for q of shape [G, n]. The subset
-    weights multiply channel by channel and the subsets are added one by
-    one in table order into each distinct column of the table, so every
-    entry is bitwise what the same sum gives for that point alone.
+    The subset weights multiply channel by channel and the subsets are added
+    one by one in table order into each distinct column of the table, so every
+    entry is bitwise what the same sum gives for that point alone. Block
+    (k, k') is then weighted by sqrt(P_k P_k').
     """
     table = contraction_table(n)
     pinned = np.array([[j in members for j in range(1, n + 1)] for members in table.subsets])
@@ -301,7 +311,10 @@ def _subset_coefficients(n: int, d: int, q: np.ndarray) -> np.ndarray:
     for column, terms, live in zip(weight.T[:, :, None, None], split, weight.any(axis=0).tolist()):
         if live:  # a subset with weight 0 at every point would add +0.0
             sums += column * terms
-    return np.take(sums, table.column, axis=2)
+    blocks = np.take(sums, table.column, axis=2)
+    amps = np.sqrt(probs)[:, None]
+    blocks *= amps[..., None] * amps[..., None, :]  # the control density
+    return blocks
 
 
 def assemble_blocks(
@@ -320,9 +333,8 @@ def assemble_blocks(
     if ctrl.n != n:
         raise ValueError(f"control is for {ctrl.n} channels, got {n}")
     _check_channel_count(n)
-    coeff = _subset_coefficients(n, d, np.array([[ch.q for ch in channels]]))[0]
-    weights = ctrl.density()
-    return SwitchBlockMatrix(n=n, d=d, a=coeff[0] * weights, b=coeff[1] * weights)
+    a, b = _switch_blocks(n, d, np.array([[ch.q for ch in channels]]), np.array([ctrl.probs]))[0]
+    return SwitchBlockMatrix(n=n, d=d, a=a, b=b)
 
 
 def closed_form_n2(q1: float, q2: float, ctrl: ControlSpec, d: int) -> SwitchBlockMatrix:
@@ -426,9 +438,9 @@ def realize(sbm: SwitchBlockMatrix, rho: DensityMatrix) -> np.ndarray:
 
 
 def _order_products(
-    channels: Sequence[DepolarizingChannel], budget: int
+    channels: Sequence[DepolarizingChannel],
 ) -> tuple[int, int, int, Iterator[np.ndarray]]:
-    """(n, d, n!, chunks) for at most ``budget`` index tuples t.
+    """(n, d, n!, chunks) for at most TUPLE_BUDGET index tuples t.
 
     A chunk is a new [n!, d, T*d] array, K_pi[t][a, b] at row a, column (t, b), t
     row-major over (t_1..t_n): slots 1..g run jointly over consecutive
@@ -439,8 +451,10 @@ def _order_products(
     n = len(channels)
     d = _channel_dimension(channels)
     m = d * d + 1
-    if m**n > budget:
-        raise SizeLimitError(f"brute-force sum needs {m**n} index tuples, budget is {budget}")
+    if m**n > TUPLE_BUDGET:
+        raise SizeLimitError(
+            f"brute-force sum needs {m**n} index tuples, budget is {TUPLE_BUDGET}"
+        )
     kraus = [np.array(kraus_set(ch.q, d)) for ch in channels]
     orders = [apply_order(p, list(range(n))) for p in enumerate_orders(n)]
     per_tuple = len(orders) * d * d
@@ -468,21 +482,18 @@ def _order_products(
 
 
 def kraus_sum_output(
-    channels: Sequence[DepolarizingChannel],
-    ctrl: ControlSpec,
-    rho: DensityMatrix,
-    budget: int = DEFAULT_TUPLE_BUDGET,
+    channels: Sequence[DepolarizingChannel], ctrl: ControlSpec, rho: DensityMatrix
 ) -> np.ndarray:
     """Switch output by direct summation of the generalized Kraus operators.
 
-    Sums W (rho tensor rho_c) W^dag over all (d^2+1)^n <= ``budget`` index
+    Sums W (rho tensor rho_c) W^dag over all (d^2+1)^n <= TUPLE_BUDGET index
     tuples, where W places K_{pi_k} on control block k. Each chunk's order
     products K, as [n! d, T d], add the Gram product (K rho) K^dag, already
     in the output's (k, a), (k', a') layout; the control amplitudes weight
     the sum. No analytic grouping is used: this is the independent
     reference for ``assemble_blocks``.
     """
-    n, d, nf, chunks = _order_products(channels, budget)
+    n, d, nf, chunks = _order_products(channels)
     if ctrl.n != n:
         raise ValueError(f"control is for {ctrl.n} channels, got {n}")
     out = np.zeros((nf * d, nf * d), dtype=complex)
@@ -492,15 +503,13 @@ def kraus_sum_output(
     return out * np.kron(ctrl.density(), np.ones((d, d)))
 
 
-def completeness_defect(
-    channels: Sequence[DepolarizingChannel], budget: int = DEFAULT_TUPLE_BUDGET
-) -> float:
+def completeness_defect(channels: Sequence[DepolarizingChannel]) -> float:
     """Max entrywise deviation of sum_i W_i W_i^dag from the identity.
 
     W_i W_i^dag is block diagonal, so this sums K_pi K_pi^dag over the same
     chunked stacks and tuple budget as ``kraus_sum_output``, one stacked
     Gram product per chunk, and reports the numerical defect.
     """
-    _, d, _, chunks = _order_products(channels, budget)
+    _, d, _, chunks = _order_products(channels)
     acc = sum(ops @ ops.conj().transpose(0, 2, 1) for ops in chunks)
     return float(np.abs(acc - np.eye(d)).max())

@@ -55,15 +55,20 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
+def _check_order_count(n: int) -> None:
+    """The package's one order-count rule: n in 1..MAX_ORDER_CHANNELS, else SizeLimitError."""
+    if not 1 <= n <= MAX_ORDER_CHANNELS:
+        raise SizeLimitError(
+            f"causal-order enumeration supports 1..{MAX_ORDER_CHANNELS} channels, got n={n}"
+        )
+
+
 def enumerate_orders(n: int) -> list[Permutation]:
     """All n! causal orders on n channels, in lexicographic order.
 
     The list index + 1 equals each order's label k.
     """
-    if not 1 <= n <= MAX_ORDER_CHANNELS:
-        raise SizeLimitError(
-            f"causal-order enumeration supports 1..{MAX_ORDER_CHANNELS} channels, got n={n}"
-        )
+    _check_order_count(n)
     return [Permutation(img) for img in permutations(range(1, n + 1))]
 
 

@@ -194,34 +194,26 @@ def check_contraction_tables(rng: np.random.Generator) -> CheckResult:
 def check_closed_forms(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for d in (2, 3):
-        q1, q2 = rng.uniform(size=2)
-        ctrl = sw.ControlSpec(2, tuple(rng.dirichlet(np.ones(2))))
-        closed = sw.closed_form_n2(q1, q2, ctrl, d)
-        built = sw.assemble_blocks(
-            [ch.DepolarizingChannel(q1, d), ch.DepolarizingChannel(q2, d)], ctrl
-        )
-        worst = max(worst, np.abs(closed.a - built.a).max(), np.abs(closed.b - built.b).max())
-        q1, q2, q3 = rng.uniform(size=3)
-        ctrl3 = sw.ControlSpec(3, tuple(rng.dirichlet(np.ones(6))))
-        closed3 = sw.closed_form_n3(q1, q2, q3, ctrl3, d)
-        built3 = sw.assemble_blocks(
-            [ch.DepolarizingChannel(q, d) for q in (q1, q2, q3)], ctrl3
-        )
-        worst = max(
-            worst, np.abs(closed3.a - built3.a).max(), np.abs(closed3.b - built3.b).max()
-        )
+        for n, closed_form in ((2, sw.closed_form_n2), (3, sw.closed_form_n3)):
+            qs = rng.uniform(size=n)
+            ctrl = sw.ControlSpec(n, tuple(rng.dirichlet(np.ones(math.factorial(n)))))
+            closed = closed_form(*qs, ctrl, d)
+            built = sw.assemble_blocks([ch.DepolarizingChannel(q, d) for q in qs], ctrl)
+            worst = max(worst, np.abs(closed.a - built.a).max(), np.abs(closed.b - built.b).max())
     return _result("closed forms vs assembly", worst, 1e-14)
 
 
 def check_min_entropy_consistency(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     grid = np.linspace(0.0, 1.0, 5)
+    points = list(product(grid, grid, (0.2, 0.5, 0.9)))
     for d in (2, 3):
-        for q1, q2, p in product(grid, grid, (0.2, 0.5, 0.9)):
-            ctrl = sw.ControlSpec(2, (p, 1.0 - p))
-            generic = hv.min_output_entropy(sw.closed_form_n2(q1, q2, ctrl, d))
-            closed = hv.min_output_entropy_n2(q1, q2, p, d)
-            worst = max(worst, abs(generic - closed))
+        closed = [
+            sw.closed_form_n2(q1, q2, sw.ControlSpec(2, (p, 1.0 - p)), d) for q1, q2, p in points
+        ]
+        h_min, _ = hv._block_entropies(d, np.array([[m.a, m.b] for m in closed]))
+        for generic, (q1, q2, p) in zip(h_min.tolist(), points):
+            worst = max(worst, abs(generic - hv.min_output_entropy_n2(q1, q2, p, d)))
     return _result("closed-form vs eigensolver entropy", worst, 1e-10)
 
 

@@ -586,6 +586,37 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
 
+class TestVerifyGatesTheSweepStages:
+    # verify's oracles read the block and spectral stages that every sweep,
+    # holevo and table1 run, so corrupting either one fails its check.
+    @staticmethod
+    def failed(monkeypatch, module, name, corrupt):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: corrupt(real(*args)))
+        from qnswitch.verify import run_verification
+
+        return {res.name for res in run_verification(42) if not res.passed}
+
+    def test_spectral_stage(self, monkeypatch):
+        import qnswitch.holevo as hv
+
+        failed = self.failed(
+            monkeypatch, hv, "_block_entropies", lambda out: (out[0] + 1e-6, out[1])
+        )
+        assert "closed-form vs eigensolver entropy" in failed
+
+    def test_block_stage(self, monkeypatch):
+        import qnswitch.switch as sw
+
+        def scale_one_pair(blocks):
+            blocks[:, 0, 0, 1] *= 1.0 + 1e-9  # one off-diagonal a pair, kept symmetric
+            blocks[:, 0, 1, 0] *= 1.0 + 1e-9
+            return blocks
+
+        failed = self.failed(monkeypatch, sw, "_switch_blocks", scale_one_pair)
+        assert "closed forms vs assembly" in failed
+
+
 class TestEveryChiRespectsBounds:
     def test_table_rows_within_bounds(self, capsys):
         code, out, _ = run(capsys, "table1", "--d-max", "6")

@@ -79,6 +79,20 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValueError):
             von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            (np.array([[0.5, 0.1 + 1e-11], [0.1, 0.5]]), "Hermitian"),
+            (np.diag([0.5 + 1e-11, 0.5]), "trace"),
+            (np.diag([1.0 + 5e-10, -5e-10]), "negative eigenvalue"),
+        ],
+    )
+    def test_density_matrix_rule(self, matrix, message):
+        # One density-matrix rule: 1e-12 on Hermiticity and trace, -1e-10 on eigenvalues.
+        for check in (DensityMatrix, von_neumann_entropy):
+            with pytest.raises(ValueError, match=message):
+                check(matrix)
+
 
 class TestControlMarginal:
     def test_diagonal_equals_probs(self, rng):
@@ -481,7 +495,7 @@ class TestHolevoBatchArguments:
     def test_block_checks_cover_every_row(self, monkeypatch, entries, factor, message):
         import qnswitch.holevo as hv
 
-        real = hv._subset_coefficients
+        real = hv._switch_blocks
 
         def corrupted(*args):
             coeff = real(*args)
@@ -489,7 +503,7 @@ class TestHolevoBatchArguments:
                 coeff[index] *= factor
             return coeff
 
-        monkeypatch.setattr(hv, "_subset_coefficients", corrupted)
+        monkeypatch.setattr(hv, "_switch_blocks", corrupted)
         with pytest.raises(ValueError, match=message):
             holevo_batch(3, 2, [(0.1, 0.2, 0.3)] * 3, [ControlSpec.uniform(3).probs] * 3)
 

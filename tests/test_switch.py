@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import qnswitch.switch as sw
 from qnswitch.channels import (
     DensityMatrix,
     DepolarizingChannel,
@@ -45,6 +46,25 @@ class TestControlSpec:
     def test_definite(self):
         ctrl = ControlSpec.definite(2, 2)
         assert ctrl.probs == (0.0, 1.0)
+        assert ControlSpec.definite(3, np.int64(1)).probs == (1.0,) + (0.0,) * 5
+
+    @pytest.mark.parametrize("k", [0, 3, 1.0, 2.5])
+    def test_definite_rejects_bad_label(self, k):
+        # Order labels follow contract_pair's rule: integers in 1..n!.
+        with pytest.raises(ValueError, match="integers in 1..2"):
+            ControlSpec.definite(2, k)
+
+    @pytest.mark.parametrize("n", [0, 9, 30])
+    def test_channel_count_checked_before_any_entry(self, n):
+        # The count is checked first: building 30! entries would overflow.
+        for make in (ControlSpec.uniform, lambda n: ControlSpec.definite(n, 1)):
+            with pytest.raises(SizeLimitError, match="1..8 channels"):
+                make(n)
+        with pytest.raises(SizeLimitError):
+            ControlSpec(n, (1.0,))
+
+    def test_uniform_beyond_assembly(self):
+        assert len(ControlSpec.uniform(6).probs) == 720
 
     def test_density(self):
         ctrl = ControlSpec(2, (0.25, 0.75))
@@ -296,11 +316,13 @@ class TestKrausSumOutput:
             reference = kraus_sum_output(chans, ctrl, rho)
             assert np.abs(dense - reference).max() < 1e-10
 
-    def test_budget_guard(self, rng):
-        chans = channels_for((0.5, 0.5), 2)
-        with pytest.raises(SizeLimitError):
+    def test_budget_guard(self, rng, monkeypatch):
+        # N = 5, d = 4 needs 17^5 = 1,419,857 index tuples, over the budget;
+        # the guard fires before any Kraus stack or product is built.
+        monkeypatch.setattr(sw, "kraus_set", None)
+        with pytest.raises(SizeLimitError, match="1419857 index tuples"):
             kraus_sum_output(
-                chans, ControlSpec.uniform(2), random_density(2, rng), budget=10
+                channels_for([0.5] * 5, 4), ControlSpec.uniform(5), random_density(4, rng)
             )
 
     @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2)])
@@ -323,14 +345,12 @@ class TestChunkedKrausSum:
     # 1 and 2, and of 7 joint values of all three slots.
     @pytest.mark.parametrize("entries", [3 * 100 * 54, 4 * 10 * 54, 7 * 54])
     def test_chunks_match_one_chunk(self, entries, rng, monkeypatch):
-        import qnswitch.switch as sw
-
         chans = channels_for(rng.uniform(size=3), 3)
         ctrl = random_ctrl(3, rng)
         rho = random_density(3, rng)
 
         def chunk_tuples():
-            chunks = sw._order_products(chans, sw.DEFAULT_TUPLE_BUDGET)[3]
+            chunks = sw._order_products(chans)[3]
             return [ops.shape[2] // 3 for ops in chunks]
 
         assert chunk_tuples() == [1000]
@@ -445,6 +465,7 @@ class TestCompletenessDefect:
         rng = np.random.default_rng(4)
         assert completeness_defect(channels_for(rng.uniform(size=4), 2)) <= 1e-12
 
-    def test_budget_guard(self):
-        with pytest.raises(SizeLimitError):
-            completeness_defect(channels_for((0.5, 0.5), 2), budget=3)
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(sw, "kraus_set", None)  # the guard fires before any stack
+        with pytest.raises(SizeLimitError, match="1419857 index tuples"):
+            completeness_defect(channels_for([0.5] * 5, 4))
