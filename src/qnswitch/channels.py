@@ -35,7 +35,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A d x d density matrix: Hermitian, unit trace, positive semidefinite."""
+    """A d x d density matrix: finite, Hermitian, unit trace, positive semidefinite."""
 
     entries: np.ndarray
 
@@ -44,6 +44,8 @@ class DensityMatrix:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError("density matrix entries must be finite")
         if np.abs(entries - entries.conj().T).max() > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(entries) - 1.0) > TRACE_TOL:

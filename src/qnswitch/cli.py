@@ -9,11 +9,13 @@ digits, so repeated runs with identical flags are byte-identical.
 same checks: the channel count first, then the library's rules for d (an
 integer in 2..32768) and q (in [0, 1]), one q list per channel, and the library's
 control-vector rule (n! nonnegative entries whose exact sum is within 1e-12
-of 1; they are then divided by that sum). The grid is evaluated in chunks of
-SWEEP_CHUNK_ENTRIES // (n! d) points, one ``holevo_batch`` call each, so memory
-does not grow with it. ``sweep`` streams its rows to a temporary file next to
-the output and renames it into place only when every row is written, so a failed
-sweep leaves any previous output untouched; ``holevo`` prints nothing if it fails.
+of 1; they are then divided by that sum). The grid is evaluated in chunks of at
+most SWEEP_CHUNK_ENTRIES // (n! d) points, whole q rows by every control (one q
+row's controls in parts if they alone are over), one ``holevo_batch`` call and
+one format call each, so memory does not grow with it. ``sweep`` streams its
+rows to a temporary file next to the output and renames it into place only when
+every row is written, so a failed sweep leaves any previous output untouched;
+``holevo`` prints nothing if it fails.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-# Floats of output spectra (n!*d per point) in one chunk of a grid. Memory
-# stays flat however large the grid is, and a batch's fixed cost, the same
-# for every n, is spread over 85 points at N = 4, d = 2 and 1,024 at N = 2.
+# Floats of output spectra (n!*d per point) in one chunk of a grid: whole q rows
+# by every control, or one q row's controls in parts. Memory stays flat, and a
+# batch's fixed cost is spread over up to 85 points at N = 4, d = 2, 1,024 at N = 2.
 SWEEP_CHUNK_ENTRIES = 1 << 12
 
 
@@ -130,32 +132,38 @@ def _grid_spec(
     return SweepSpec(n, d_values, q_axes, q_linked, p_vectors)
 
 
-def _csv_lines(spec: SweepSpec) -> Iterator[str]:
-    """The CSV header, then one row per point: d slowest, then q, then p."""
+def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
+    """The CSV text: the header, then one string per chunk of rows, d slowest, then q, then p."""
     nf = math.factorial(spec.n)
     qcols = ",".join(f"q{j}" for j in range(1, spec.n + 1))
     pcols = ",".join(f"p{k}" for k in range(1, nf + 1))
-    yield f"n,d,{qcols},{pcols},h_min,h_control,chi"
-    p_rows = [(p, ",".join(map(_fmt, p))) for p in spec.p_vectors]
+    yield f"n,d,{qcols},{pcols},h_min,h_control,chi\n"
+    probs = np.array(spec.p_vectors)
+    p_texts = [",".join(map(_fmt, p)) for p in spec.p_vectors]
     for d in spec.d_values:
-        size = max(1, SWEEP_CHUNK_ENTRIES // (nf * d))
+        points = max(1, SWEEP_CHUNK_ENTRIES // (nf * d))
+        p_step = min(len(p_texts), points) or 1  # with no control, no batch runs
         # "%.6g" formats a float exactly as _fmt does; adding 0.0 turns
         # -0.0 into 0.0 there and here.
-        row = f"{spec.n},{d},%s,%s,%.6g,%.6g,%.6g"
-        points = product(spec.q_rows(), p_rows)
-        while chunk := list(islice(points, size)):
-            q = [qs for (qs, _), _ in chunk]
-            probs = [p for _, (p, _) in chunk]
-            values = np.stack(holevo_batch(spec.n, d, q, probs), axis=1) + 0.0
-            for ((_, q_text), (_, p_text)), entropies in zip(chunk, values.tolist()):
-                yield row % (q_text, p_text, *entropies)
+        row = f"{spec.n},{d},%s,%s,%.6g,%.6g,%.6g\n"
+        q_rows = iter(spec.q_rows())
+        while chunk := list(islice(q_rows, points // p_step)):
+            q = [qs for qs, _ in chunk]
+            for lo in range(0, len(p_texts), p_step):
+                values = np.stack(holevo_batch(spec.n, d, q, probs[lo : lo + p_step])) + 0.0
+                texts = p_texts[lo : lo + p_step]
+                fields = [None] * (5 * len(chunk) * len(texts))
+                fields[0::5] = [q_text for _, q_text in chunk for _ in texts]
+                fields[1::5] = texts * len(chunk)
+                fields[2::5], fields[3::5], fields[4::5] = values.reshape(3, -1).tolist()
+                yield (row * (len(fields) // 5)) % tuple(fields)
 
 
 def cmd_holevo(args: argparse.Namespace) -> int:
     q = _parse_list(args.q)
     spec = _grid_spec(args.n, (args.d,), [(v,) for v in q], None, [args.p])
     # join() consumes every row before print() runs: a failed point prints nothing.
-    print("\n".join(_csv_lines(spec)))
+    print("".join(_csv_chunks(spec)), end="")
     return EXIT_OK
 
 
@@ -213,17 +221,17 @@ def _config_axes(config: dict[str, str], n: int) -> Iterator[list[float]]:
         yield _parse_list(config[key])
 
 
-def _write_atomically(path: str, lines: Iterable[str]) -> None:
-    """Stream lines into a temporary file beside ``path``, then rename it.
+def _write_atomically(path: str, chunks: Iterable[str]) -> None:
+    """Stream text chunks into a temporary file beside ``path``, then rename it.
 
-    On any failure, even one raised while ``lines`` is produced, the
+    On any failure, even one raised while ``chunks`` is produced, the
     temporary file is removed and ``path`` keeps its old contents.
     """
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(line + "\n" for line in lines)
+            handle.writelines(chunks)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp_path, 0o666 & ~umask)  # the mode open() would have given
@@ -269,7 +277,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not output:
         raise ValueError("an output path is required (--out or config key 'output')")
     try:
-        _write_atomically(output, _csv_lines(spec))
+        _write_atomically(output, _csv_chunks(spec))
     except OSError as exc:
         print(f"error: cannot write {output}: {exc}", file=sys.stderr)
         return EXIT_IO

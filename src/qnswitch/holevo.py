@@ -5,11 +5,11 @@ is the minimum output entropy over target states; by concavity it is
 attained on pure states aligned with a basis vector, so the block structure
 reduces it to two n! x n! eigenproblems (target eigenvalue 1 and 0).
 
-``holevo_batch`` is the one evaluation path for every N: G points at once,
-``switch``'s block stage, then one spectral stage that solves their stacked
-a + b, a and control marginal d*a + b in one eigensolve, every value bitwise
-what the point gives alone. ``holevo_information`` and ``min_output_entropy``
-reach the same stages; the two-channel closed forms are independent checks.
+``holevo_batch`` is the one evaluation path for every N: a grid of q rows by
+control rows ([Gq, Gp], q slowest), ``switch``'s block stage, then one spectral
+stage solving their stacked a + b, a and control marginal d*a + b in one
+eigensolve, every value bitwise what the point gives alone. ``holevo_information``
+(a 1 x 1 grid) and ``min_output_entropy`` share them; the N = 2 closed forms check them.
 """
 
 from __future__ import annotations
@@ -147,23 +147,23 @@ def _block_entropies(d: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def holevo_batch(n: int, d: int, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h_min, h_control, chi) in bits for G points of n channels at dimension d.
+    """(h_min, h_control, chi) in bits, each [Gq, Gp], for n channels at dimension d.
 
-    ``q`` holds one row of n transparencies per point ([G, n]) and ``probs``
-    one row of n! order probabilities ([G, n!]). Each point is checked as
-    ``ControlSpec`` and ``SwitchBlockMatrix`` check a single one.
+    ``q`` holds Gq rows of n transparencies and ``probs`` Gp rows of n! order
+    probabilities; every pair is a point, q slowest. Each row is checked once,
+    and each point as ``SwitchBlockMatrix`` checks a single one.
     """
     _check_channel_count(n)
     d = _check_dimension(d)
     q = np.asarray(q, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    if q.shape != probs.shape[:1] + (n,):
-        raise ValueError(f"expected q of shape {probs.shape[:1] + (n,)}, got {q.shape}")
+    if q.ndim != 2 or q.shape[1] != n:
+        raise ValueError(f"expected q of shape [G, {n}], got {q.shape}")
     _check_transparencies(q)
     _check_probabilities(probs, n)
     blocks = _switch_blocks(n, d, q, probs)
     _check_blocks(d, blocks)
-    h_min, h_control = _block_entropies(d, blocks)
+    h_min, h_control = (v.reshape(len(q), len(probs)) for v in _block_entropies(d, blocks))
     return h_min, h_control, math.log2(d) + h_control - h_min
 
 
@@ -174,7 +174,7 @@ def holevo_information(n: int, d: int, q, probs) -> HolevoReport:
     """
     q = tuple(float(x) for x in q)
     probs = tuple(float(x) for x in probs)
-    h_min, h_control, chi = (float(v[0]) for v in holevo_batch(n, d, [q], [probs]))
+    h_min, h_control, chi = (float(v[0, 0]) for v in holevo_batch(n, d, [q], [probs]))
     return HolevoReport(
         n=n, d=d, q=q, probs=probs, h_min=h_min, h_control=h_control, chi=chi
     )

@@ -148,6 +148,7 @@ class SwitchBlockMatrix:
     b: np.ndarray
 
     def __post_init__(self):
+        _check_order_count(self.n)
         a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
         a.setflags(write=False)
@@ -290,12 +291,12 @@ def _check_channel_count(n: int) -> None:
 
 
 def _switch_blocks(n: int, d: int, q: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Control-weighted block coefficients [G, 2, n!, n!] (I then rho) for q [G, n], probs [G, n!].
+    """Control-weighted blocks [Gq*Gp, 2, n!, n!] (I then rho) for q [Gq, n] by probs [Gp, n!].
 
-    The subset weights multiply channel by channel and the subsets are added
-    one by one in table order into each distinct column of the table, so every
+    Per q row, the subset weights multiply channel by channel and the subsets
+    are added one by one in table order into each distinct column, so every
     entry is bitwise what the same sum gives for that point alone. Block
-    (k, k') is then weighted by sqrt(P_k P_k').
+    (k, k') is then weighted by each control's sqrt(P_k P_k').
     """
     table = contraction_table(n)
     pinned = np.array([[j in members for j in range(1, n + 1)] for members in table.subsets])
@@ -311,9 +312,10 @@ def _switch_blocks(n: int, d: int, q: np.ndarray, probs: np.ndarray) -> np.ndarr
     for column, terms, live in zip(weight.T[:, :, None, None], split, weight.any(axis=0).tolist()):
         if live:  # a subset with weight 0 at every point would add +0.0
             sums += column * terms
-    blocks = np.take(sums, table.column, axis=2)
-    amps = np.sqrt(probs)[:, None]
-    blocks *= amps[..., None] * amps[..., None, :]  # the control density
+    # Sums copied per control, then gathered: a broadcast density product page-faults each call.
+    blocks = np.take(np.repeat(sums, len(probs), axis=0), table.column, axis=2)
+    amps = np.tile(np.sqrt(probs), (len(q), 1))[:, None]
+    blocks *= amps[..., None] * amps[..., None, :]  # each control's density
     return blocks
 
 

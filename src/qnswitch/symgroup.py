@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from numbers import Integral
 from typing import Sequence, TypeVar
 
 from .errors import SizeLimitError
@@ -56,7 +57,9 @@ class Permutation:
 
 
 def _check_order_count(n: int) -> None:
-    """The package's one order-count rule: n in 1..MAX_ORDER_CHANNELS, else SizeLimitError."""
+    """The package's one order-count rule: an integer n in 1..MAX_ORDER_CHANNELS."""
+    if not isinstance(n, Integral):
+        raise ValueError(f"the number of channels must be an integer, got n={n!r}")
     if not 1 <= n <= MAX_ORDER_CHANNELS:
         raise SizeLimitError(
             f"causal-order enumeration supports 1..{MAX_ORDER_CHANNELS} channels, got n={n}"

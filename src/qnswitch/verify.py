@@ -221,10 +221,10 @@ def check_chi_bounds(rng: np.random.Generator) -> CheckResult:
     worst_bound = worst_gap = 0.0
     for n, d in product((2, 3), (2, 3)):
         nf = math.factorial(n)
-        # 11 uniform points, then the same 11 q values under a definite order.
-        q = np.repeat(np.tile(np.linspace(0.0, 1.0, 11), 2)[:, None], n, axis=1)
-        probs = [[1.0 / nf] * nf] * 11 + [[1.0] + [0.0] * (nf - 1)] * 11
-        uniform, definite = hv.holevo_batch(n, d, q, probs)[2].reshape(2, 11)
+        # 11 linked q values, each under uniform and under a definite order.
+        q = np.repeat(np.linspace(0.0, 1.0, 11)[:, None], n, axis=1)
+        probs = [[1.0 / nf] * nf, [1.0] + [0.0] * (nf - 1)]
+        uniform, definite = hv.holevo_batch(n, d, q, probs)[2].T
         worst_bound = max(worst_bound, -uniform.min(), uniform.max() - math.log2(d))
         worst_gap = max(worst_gap, (definite - uniform).max())
     passed = worst_bound <= 1e-12 and worst_gap <= 1e-12

@@ -114,6 +114,25 @@ def test_sweep_bytes_do_not_depend_on_chunk_size(name, entries, tmp_path, monkey
     assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def test_sweep_bytes_when_one_q_row_spans_batches(tmp_path, monkeypatch):
+    # n3_edges has 4 controls and n! d = 12 or 18 entries a point, so 36
+    # entries fit 3 points at d = 2 and 2 at d = 3: each q row's controls
+    # are split over two batches, unevenly at d = 2.
+    real = cli.holevo_batch
+    shapes = set()
+
+    def recording(n, d, q, probs):
+        shapes.add((d, len(q), len(probs)))
+        return real(n, d, q, probs)
+
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", 36)
+    monkeypatch.setattr(cli, "holevo_batch", recording)
+    out_path = tmp_path / "n3_edges.csv"
+    assert main(["sweep", *CASES["n3_edges"], "--out", str(out_path)]) == EXIT_OK
+    assert shapes == {(2, 1, 3), (2, 1, 1), (3, 1, 2)}
+    assert out_path.read_bytes() == (GOLDEN / "n3_edges.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(HOLEVO_CASES))
 def test_holevo_matches_golden_bytes(name, capsys):
     assert main(["holevo", *HOLEVO_CASES[name]]) == EXIT_OK

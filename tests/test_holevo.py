@@ -85,10 +85,16 @@ class TestVonNeumannEntropy:
             (np.array([[0.5, 0.1 + 1e-11], [0.1, 0.5]]), "Hermitian"),
             (np.diag([0.5 + 1e-11, 0.5]), "trace"),
             (np.diag([1.0 + 5e-10, -5e-10]), "negative eigenvalue"),
+            # NaN fails every comparison, so only a finiteness test catches it.
+            (np.diag([math.nan, 1.0]), "finite"),
+            (np.array([[0.5, math.nan], [math.nan, 0.5]]), "finite"),
+            (np.diag([math.inf, 1.0]), "finite"),
+            (np.diag([complex(0.0, math.nan), 1.0]), "finite"),
         ],
     )
     def test_density_matrix_rule(self, matrix, message):
-        # One density-matrix rule: 1e-12 on Hermiticity and trace, -1e-10 on eigenvalues.
+        # One density-matrix rule: finite entries, 1e-12 on Hermiticity and
+        # trace, -1e-10 on eigenvalues.
         for check in (DensityMatrix, von_neumann_entropy):
             with pytest.raises(ValueError, match=message):
                 check(matrix)
@@ -395,41 +401,45 @@ def _control(n, kind, raw):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 5), d=st.integers(2, 4), data=st.data())
 def test_batch_is_bitwise_the_per_point_path(n, d, data):
+    # The batch is a grid: every q row with every control row, q slowest.
     nf = math.factorial(n)
     value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-    g = data.draw(st.integers(1, 3), label="G")
-    qs, controls = [], []
-    for _ in range(g):
-        qs.append(tuple(data.draw(st.lists(value, min_size=n, max_size=n), label="q")))
+    qs = [
+        tuple(data.draw(st.lists(value, min_size=n, max_size=n), label="q"))
+        for _ in range(data.draw(st.integers(1, 3), label="Gq"))
+    ]
+    controls = []
+    for _ in range(data.draw(st.integers(1, 3), label="Gp")):
         kind = data.draw(st.sampled_from(["uniform", "definite", "partly zero"]), label="P")
         raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=nf, max_size=nf), label="raw")
         controls.append(_control(n, kind, raw))
     h_min, h_control, chi = holevo_batch(n, d, qs, controls)
-    for i, (q, probs) in enumerate(zip(qs, controls)):
+    assert h_min.shape == h_control.shape == chi.shape == (len(qs), len(controls))
+    for (i, q), (j, probs) in product(enumerate(qs), enumerate(controls)):
         sbm = _per_point_blocks(n, d, q, probs)
         built = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(n, probs))
         assert built.a.tobytes() == sbm.a.tobytes() and built.b.tobytes() == sbm.b.tobytes()
         ref_min = min_output_entropy(sbm)
         ref_control = _entropy_rows(np.linalg.eigvalsh(control_marginal(sbm))[None])[0]
         ref_chi = math.log2(d) + ref_control - ref_min
-        got = (h_min[i], h_control[i], chi[i])
+        got = (h_min[i, j], h_control[i, j], chi[i, j])
         assert np.array(got).tobytes() == np.array([ref_min, ref_control, ref_chi]).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_two_channel_batch_matches_closed_forms(d):
     grid = np.linspace(0.0, 1.0, 6)
-    points = list(product(grid, grid, (0.0, 0.2, 0.5, 0.9, 1.0)))
-    h_min, h_control, chi = holevo_batch(
-        2, d, [(q1, q2) for q1, q2, _ in points], [(p, 1.0 - p) for *_, p in points]
-    )
-    for i, (q1, q2, p) in enumerate(points):
+    qs = list(product(grid, grid))
+    ps = (0.0, 0.2, 0.5, 0.9, 1.0)
+    h_min, h_control, chi = holevo_batch(2, d, qs, [(p, 1.0 - p) for p in ps])
+    assert chi.shape == (len(qs), len(ps))
+    for (i, (q1, q2)), (j, p) in product(enumerate(qs), enumerate(ps)):
         closed = closed_form_n2(q1, q2, ControlSpec(2, (p, 1.0 - p)), d)
         ref_min = min_output_entropy_n2(q1, q2, p, d)
         ref_control = von_neumann_entropy(control_marginal(closed))
-        assert abs(h_min[i] - ref_min) <= 1e-12
-        assert abs(h_control[i] - ref_control) <= 1e-12
-        assert abs(chi[i] - (math.log2(d) + ref_control - ref_min)) <= 1e-12
+        assert abs(h_min[i, j] - ref_min) <= 1e-12
+        assert abs(h_control[i, j] - ref_control) <= 1e-12
+        assert abs(chi[i, j] - (math.log2(d) + ref_control - ref_min)) <= 1e-12
 
 
 class TestHolevoBatchArguments:
@@ -446,6 +456,21 @@ class TestHolevoBatchArguments:
         ):
             with pytest.raises(ValueError, match=message):
                 holevo_batch(2, 2, q, probs)
+
+    @pytest.mark.parametrize("q", [(0.5, 0.5), [[(0.5, 0.5)]], 0.5])
+    def test_rejects_q_that_is_not_a_table(self, q):
+        with pytest.raises(ValueError, match="shape"):
+            holevo_batch(2, 2, q, [(0.5, 0.5)])
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [((0.7, 0.7), "sum to 1"), ((1.5, -0.5), "nonnegative"), ((math.nan, 1.0), "nonnegative")],
+    )
+    def test_rejects_the_one_bad_control_row(self, bad, message):
+        # Every control row is checked, not only the first: the bad one is last.
+        qs = [(0.5, 0.5), (0.1, 0.9)]
+        with pytest.raises(ValueError, match=message):
+            holevo_batch(2, 2, qs, [(0.5, 0.5), (0.2, 0.8), bad])
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(SizeLimitError):

@@ -63,6 +63,18 @@ class TestControlSpec:
         with pytest.raises(SizeLimitError):
             ControlSpec(n, (1.0,))
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+    def test_channel_count_must_be_an_integer(self, n):
+        for make in (
+            ControlSpec.uniform,
+            lambda n: ControlSpec.definite(n, 1),
+            lambda n: ControlSpec(n, (0.5, 0.5)),
+            enumerate_orders,
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make(n)
+        assert ControlSpec.uniform(np.int64(2)).probs == (0.5, 0.5)
+
     def test_uniform_beyond_assembly(self):
         assert len(ControlSpec.uniform(6).probs) == 720
 
@@ -99,6 +111,14 @@ class TestBlockTypes:
         a = np.array([[0.25, 0.1], [0.0, 0.25]])
         with pytest.raises(ValueError):
             SwitchBlockMatrix(n=2, d=2, a=a, b=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "n,error", [(0, SizeLimitError), (9, SizeLimitError), (1.0, ValueError)]
+    )
+    def test_matrix_applies_order_count_rule(self, n, error):
+        # a = 0, b = 1 is a valid one-channel block matrix at any d.
+        with pytest.raises(error, match="1..8 channels|integer"):
+            SwitchBlockMatrix(n=n, d=2, a=[[0.0]], b=[[1.0]])
 
     def test_matrix_rejects_bad_trace(self):
         with pytest.raises(ValueError):
