@@ -56,7 +56,8 @@ def _check_probabilities(probs: np.ndarray, n: int) -> None:
     """
     nf = math.factorial(n)
     if probs.ndim != 2 or probs.shape[1] != nf:
-        raise ValueError(f"expected {nf} probabilities for n={n}, got {probs.shape[-1]}")
+        got = probs.shape[1] if probs.ndim == 2 else f"an array of shape {probs.shape}"
+        raise ValueError(f"expected {nf} probabilities for n={n}, got {got}")
     if not (probs >= 0.0).all():
         raise ValueError("probabilities must be nonnegative")
     for row in probs.tolist():
@@ -339,6 +340,24 @@ def assemble_blocks(
     return SwitchBlockMatrix(n=n, d=d, a=a, b=b)
 
 
+def _closed_form_n2_blocks(q1, q2, prob1, prob2, d: int) -> np.ndarray:
+    """Two-channel blocks [G, 2, 2, 2] (I then rho) for G points given as arrays (or scalars).
+
+    Each entry takes the operations of the expansion in ``closed_form_n2``
+    in the same order, so every point is bitwise what it gives alone.
+    """
+    p1, p2 = 1.0 - q1, 1.0 - q2
+    r0 = p1 * p2
+    r1 = q1 * p2 + q2 * p1
+    r2 = q1 * q2
+    cross = np.sqrt(prob1 * prob2)
+    a_off = cross * r1 / d
+    b_off = cross * (r0 + d * d * r2) / d**2
+    a = [[prob1 * (r0 + r1) / d, a_off], [a_off, prob2 * (r0 + r1) / d]]
+    b = [[prob1 * r2, b_off], [b_off, prob2 * r2]]
+    return np.array([a, b]).reshape(2, 2, 2, -1).transpose(3, 0, 1, 2)
+
+
 def closed_form_n2(q1: float, q2: float, ctrl: ControlSpec, d: int) -> SwitchBlockMatrix:
     """Hand-expanded switch blocks for two channels.
 
@@ -349,24 +368,7 @@ def closed_form_n2(q1: float, q2: float, ctrl: ControlSpec, d: int) -> SwitchBlo
     _check_transparencies((q1, q2))
     if ctrl.n != 2:
         raise ValueError("control must describe two channels")
-    p1, p2 = 1.0 - q1, 1.0 - q2
-    r0 = p1 * p2
-    r1 = q1 * p2 + q2 * p1
-    r2 = q1 * q2
-    probs = ctrl.probs
-    cross = math.sqrt(probs[0] * probs[1])
-    a = np.array(
-        [
-            [probs[0] * (r0 + r1) / d, cross * r1 / d],
-            [cross * r1 / d, probs[1] * (r0 + r1) / d],
-        ]
-    )
-    b = np.array(
-        [
-            [probs[0] * r2, cross * (r0 + d * d * r2) / d**2],
-            [cross * (r0 + d * d * r2) / d**2, probs[1] * r2],
-        ]
-    )
+    a, b = _closed_form_n2_blocks(q1, q2, *ctrl.probs, d)[0]
     return SwitchBlockMatrix(n=2, d=d, a=a, b=b)
 
 

@@ -9,7 +9,6 @@ pi_5 = (3,1,2), pi_6 = (3,2,1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from numbers import Integral
@@ -31,7 +30,7 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "image", tuple(int(v) for v in self.image))
+        object.__setattr__(self, "image", tuple(map(int, self.image)))
         n = len(self.image)
         if sorted(self.image) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.image}")
@@ -42,11 +41,14 @@ class Permutation:
 
     @property
     def label(self) -> int:
-        """1-based rank of this permutation in lexicographic order."""
+        """1-based rank in lexicographic order: 1 + the Lehmer code, whose digit j
+        (weight (n-1-j)!) is image[j]'s index among the values still unused."""
+        unused = list(range(1, self.n + 1))
         rank = 0
-        for j, v in enumerate(self.image):
-            smaller = sum(1 for w in self.image[j + 1 :] if w < v)
-            rank += smaller * math.factorial(self.n - 1 - j)
+        for v in self.image:
+            j = unused.index(v)
+            rank = rank * len(unused) + j
+            del unused[j]
         return rank + 1
 
     def inverse(self) -> Permutation:

@@ -3,7 +3,9 @@
 Each suite exercises one exact identity or cross-check at small sizes and
 reports pass/fail with a short detail string. The expected contraction
 tables for two and three channels are frozen here; they double as
-regression data for the test suite.
+regression data for the test suite. The N = 2 entropy suite evaluates each
+d's points as one checked stack of closed-form blocks through the shared
+spectral stage.
 """
 
 from __future__ import annotations
@@ -207,11 +209,14 @@ def check_min_entropy_consistency(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     grid = np.linspace(0.0, 1.0, 5)
     points = list(product(grid, grid, (0.2, 0.5, 0.9)))
+    q = np.array([point[:2] for point in points])
+    probs = np.array([(p, 1.0 - p) for _, _, p in points])
+    ch._check_transparencies(q)
+    sw._check_probabilities(probs, 2)
     for d in (2, 3):
-        closed = [
-            sw.closed_form_n2(q1, q2, sw.ControlSpec(2, (p, 1.0 - p)), d) for q1, q2, p in points
-        ]
-        h_min, _ = hv._block_entropies(d, np.array([[m.a, m.b] for m in closed]))
+        blocks = sw._closed_form_n2_blocks(*q.T, *probs.T, d)
+        sw._check_blocks(d, blocks)
+        h_min, _ = hv._block_entropies(d, blocks)
         for generic, (q1, q2, p) in zip(h_min.tolist(), points):
             worst = max(worst, abs(generic - hv.min_output_entropy_n2(q1, q2, p, d)))
     return _result("closed-form vs eigensolver entropy", worst, 1e-10)

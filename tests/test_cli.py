@@ -237,21 +237,20 @@ class TestSweepCommand:
         assert len(rows) == 4  # 2 q1-values x 1 q2-value x 2 p-vectors
 
     def test_empty_grid_writes_header_only(self, capsys, tmp_path):
-        out_path = tmp_path / "empty.csv"
-        code, _, _ = run(
-            capsys,
-            "sweep",
-            "--n",
-            "2",
-            "--d",
-            "",
-            "--q-linked",
-            "0.5",
-            "--out",
-            str(out_path),
-        )
-        assert code == EXIT_OK
-        assert out_path.read_text().strip() == "n,d,q1,q2,p1,p2,h_min,h_control,chi"
+        # An empty axis of any kind (dimensions, controls, linked or one
+        # per-channel q) is a grid of no points: exit 0 and a header-only CSV.
+        for i, axes in enumerate(
+            (
+                ("--d", "", "--q-linked", "0.5"),
+                ("--d", "2", "--q-linked", "0.5", "--p", ";"),
+                ("--d", "2", "--q-linked", ""),
+                ("--d", "2", "--q", "", "--q", "0.5"),
+            )
+        ):
+            out_path = tmp_path / f"empty{i}.csv"
+            code, _, err = run(capsys, "sweep", "--n", "2", *axes, "--out", str(out_path))
+            assert (code, err) == (EXIT_OK, "")
+            assert out_path.read_text() == "n,d,q1,q2,p1,p2,h_min,h_control,chi\n"
 
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run(
@@ -615,6 +614,18 @@ class TestVerifyGatesTheSweepStages:
 
         failed = self.failed(monkeypatch, sw, "_switch_blocks", scale_one_pair)
         assert "closed forms vs assembly" in failed
+
+    def test_two_channel_closed_form_stage(self, monkeypatch):
+        import qnswitch.switch as sw
+
+        def scale_one_pair(blocks):
+            # One off-diagonal a pair, kept symmetric; shrunk, so every point stays positive.
+            blocks[:, 0, 0, 1] *= 1.0 - 1e-6
+            blocks[:, 0, 1, 0] *= 1.0 - 1e-6
+            return blocks
+
+        failed = self.failed(monkeypatch, sw, "_closed_form_n2_blocks", scale_one_pair)
+        assert {"closed forms vs assembly", "closed-form vs eigensolver entropy"} <= failed
 
 
 class TestEveryChiRespectsBounds:

@@ -450,6 +450,7 @@ class TestHolevoBatchArguments:
             ([(0.5, 1.5)], ok_p, "transparency"),
             ([(0.5, float("nan"))], ok_p, "transparency"),
             (ok_q, [(0.5, 0.5, 0.0)], "expected 2 probabilities"),
+            (ok_q, 0.5, "expected 2 probabilities"),
             (ok_q, [(1.5, -0.5)], "nonnegative"),
             (ok_q, [(float("nan"), 1.0)], "nonnegative"),
             (ok_q, [(0.7, 0.7)], "sum to 1"),

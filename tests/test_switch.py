@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qnswitch.switch as sw
 from qnswitch.channels import (
@@ -263,6 +264,36 @@ class TestAssembleBlocks:
         chans = [DepolarizingChannel(0.5, 2), DepolarizingChannel(0.5, 3)]
         with pytest.raises(ValueError):
             assemble_blocks(chans, ControlSpec.uniform(2))
+
+
+def scalar_closed_form_n2(q1, q2, probs, d):
+    """The two-channel expansion point by point in Python floats: the reference."""
+    p1, p2 = 1.0 - q1, 1.0 - q2
+    r0, r1, r2 = p1 * p2, q1 * p2 + q2 * p1, q1 * q2
+    cross = math.sqrt(probs[0] * probs[1])
+    a = [[probs[0] * (r0 + r1) / d, cross * r1 / d], [cross * r1 / d, probs[1] * (r0 + r1) / d]]
+    off_b = cross * (r0 + d * d * r2) / d**2
+    return np.array([a, [[probs[0] * r2, off_b], [off_b, probs[1] * r2]]])
+
+
+unit_interval = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(st.tuples(*[unit_interval] * 3), min_size=1, max_size=6),
+    d=st.integers(2, 6),
+)
+def test_two_channel_kernel_is_bitwise_the_scalar_expansion(points, d):
+    q1, q2, p = np.array(points).T
+    stack = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, d)
+    assert stack.shape == (len(points), 2, 2, 2)
+    for blocks, (x1, x2, y) in zip(stack, points):
+        ctrl = ControlSpec(2, (y, 1.0 - y))
+        reference = scalar_closed_form_n2(x1, x2, ctrl.probs, d)
+        single = closed_form_n2(x1, x2, ctrl, d)
+        assert blocks.tobytes() == reference.tobytes()
+        assert np.stack([single.a, single.b]).tobytes() == reference.tobytes()
 
 
 class TestRealize:

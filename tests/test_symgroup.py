@@ -47,11 +47,17 @@ class TestEnumerateOrders:
         for p in orders:
             assert sorted(p.image) == list(range(1, n + 1))
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_labels_are_lexicographic_ranks(self, n):
-        assert [p.label for p in enumerate_orders(n)] == list(
-            range(1, math.factorial(n) + 1)
-        )
+        def inversion_rank(image):  # the reference: later entries smaller than each one
+            return 1 + sum(
+                sum(w < v for w in image[j + 1 :]) * math.factorial(n - 1 - j)
+                for j, v in enumerate(image)
+            )
+
+        orders = enumerate_orders(n)
+        assert [p.label for p in orders] == list(range(1, math.factorial(n) + 1))
+        assert [p.label for p in orders] == [inversion_rank(p.image) for p in orders]
 
 
 class TestApplyOrder:
