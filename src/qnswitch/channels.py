@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .symgroup import Permutation, apply_order
+from .symgroup import MAX_ORDER_CHANNELS, Permutation, _check_channel_count, apply_order
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -184,6 +184,17 @@ def kraus_set(q: float, d: int) -> list[np.ndarray]:
     return [np.sqrt(q) * np.eye(d, dtype=complex)] + [scale * u for u in weyl_basis(d).elements]
 
 
+def _channel_list(
+    channels: Sequence[DepolarizingChannel], cap: int = MAX_ORDER_CHANNELS
+) -> tuple[int, int]:
+    """The package's one channel-list rule: (n, d) of 1..cap channels sharing one d."""
+    _check_channel_count(len(channels), cap)
+    d = channels[0].d
+    if any(ch.d != d for ch in channels):
+        raise ValueError("all channels must share one dimension")
+    return len(channels), d
+
+
 def compose_definite(
     channels: Sequence[DepolarizingChannel],
     p: Permutation,
@@ -195,11 +206,11 @@ def compose_definite(
     element acts first. Depolarizing channels commute as maps, hence the
     result equals a single depolarizing channel of transparency prod(q_j).
     """
-    if len(channels) != p.n:
-        raise ValueError(f"expected {p.n} channels, got {len(channels)}")
-    for ch in channels:
-        if ch.d != rho.d:
-            raise ValueError(f"channel dimension {ch.d} != state dimension {rho.d}")
+    n, d = _channel_list(channels)
+    if n != p.n:
+        raise ValueError(f"expected {p.n} channels, got {n}")
+    if d != rho.d:
+        raise ValueError(f"channel dimension {d} != state dimension {rho.d}")
     out = rho
     for ch in reversed(apply_order(p, list(channels))):
         out = apply_depolarizing(out, ch.q)

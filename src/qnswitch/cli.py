@@ -1,9 +1,9 @@
 """Command-line front end: holevo, table1, sweep, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
-4 internal numerical failure (the eigensolver did not converge or returned
-a negative spectrum). All numeric CSV output is printed with 6 significant
-digits, so repeated runs with identical flags are byte-identical.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
+(a failed write to stdout too), 4 internal numerical failure (the eigensolver
+did not converge or returned a negative spectrum). All numeric CSV output is
+printed with 6 significant digits, so repeated runs with identical flags are byte-identical.
 
 ``holevo`` is a one-point grid through the pipeline of ``sweep``, with the
 same checks: the channel count first, then the library's rules for d (an
@@ -36,7 +36,8 @@ import numpy as np
 from .channels import _check_dimension, _check_transparencies
 from .errors import NumericalError
 from .holevo import holevo_batch, holevo_information
-from .switch import ControlSpec, _check_channel_count, _check_probabilities
+from .switch import MAX_ASSEMBLE_CHANNELS, ControlSpec, _check_probabilities
+from .symgroup import _check_channel_count
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -120,7 +121,7 @@ def _grid_spec(
     n comes first, so no n!-long vector is built for an n the assembly
     cannot take; ``q_axes`` (one q list per channel) may be lazy until then.
     """
-    _check_channel_count(n)
+    _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)
     d_values = tuple(_check_dimension(d) for d in d_values)
     if q_axes is not None:
         q_axes = tuple(tuple(axis) for axis in q_axes)
@@ -370,6 +371,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: internal numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # stdout closed or full
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -22,12 +22,13 @@ import numpy as np
 from .channels import DensityMatrix, _check_dimension, _check_transparencies
 from .errors import NumericalError
 from .switch import (
+    MAX_ASSEMBLE_CHANNELS,
     SwitchBlockMatrix,
     _check_blocks,
-    _check_channel_count,
     _check_probabilities,
     _switch_blocks,
 )
+from .symgroup import _check_channel_count
 
 EIGENVALUE_SLACK = 1e-9
 
@@ -153,7 +154,7 @@ def holevo_batch(n: int, d: int, q, probs) -> tuple[np.ndarray, np.ndarray, np.n
     probabilities; every pair is a point, q slowest. Each row is checked once,
     and each point as ``SwitchBlockMatrix`` checks a single one.
     """
-    _check_channel_count(n)
+    _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)
     d = _check_dimension(d)
     q = np.asarray(q, dtype=float)
     probs = np.asarray(probs, dtype=float)

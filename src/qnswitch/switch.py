@@ -33,11 +33,12 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .channels import (
-    DensityMatrix, DepolarizingChannel, _check_dimension, _check_transparencies, kraus_set
+    DensityMatrix, DepolarizingChannel, _channel_list, _check_dimension, _check_transparencies,
+    kraus_set,
 )
 from .errors import SizeLimitError
 from .symgroup import (
-    ZeroSubset, _check_order_count, apply_order, enumerate_orders, zero_subsets
+    ZeroSubset, _check_channel_count, apply_order, enumerate_orders, zero_subsets
 )
 
 # Hard caps: the brute-force sums run over (d^2+1)^n index tuples, the block
@@ -61,7 +62,10 @@ def _check_probabilities(probs: np.ndarray, n: int) -> None:
     if not (probs >= 0.0).all():
         raise ValueError("probabilities must be nonnegative")
     for row in probs.tolist():
-        total = math.fsum(row)
+        try:
+            total = math.fsum(row)
+        except OverflowError:  # finite entries whose sum is beyond the float range
+            total = math.inf
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {total}")
 
@@ -105,7 +109,7 @@ class ControlSpec:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        _check_order_count(self.n)
+        _check_channel_count(self.n)
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         _check_probabilities(np.array([self.probs]), self.n)
 
@@ -120,14 +124,14 @@ class ControlSpec:
 
     @classmethod
     def uniform(cls, n: int) -> ControlSpec:
-        _check_order_count(n)
+        _check_channel_count(n)
         nf = math.factorial(n)
         return cls(n, (1.0 / nf,) * nf)
 
     @classmethod
     def definite(cls, n: int, k: int) -> ControlSpec:
         """All weight on causal order k (1-based)."""
-        _check_order_count(n)
+        _check_channel_count(n)
         _check_order_label(n, k)
         probs = [0.0] * math.factorial(n)
         probs[k - 1] = 1.0
@@ -149,7 +153,7 @@ class SwitchBlockMatrix:
     b: np.ndarray
 
     def __post_init__(self):
-        _check_order_count(self.n)
+        _check_channel_count(self.n)
         a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
         a.setflags(write=False)
@@ -218,8 +222,10 @@ class ContractionTable(NamedTuple):
 
 
 @functools.cache
-def _relative_rule(relative: tuple[int, ...]) -> tuple[bool, int]:
-    return _loop_rule(range(len(relative)), relative)
+def _relative_code(relative: tuple[int, ...]) -> int:
+    """The contraction of a word pair packed as one code, 2 * power + (word is I)."""
+    identity, power = _loop_rule(range(len(relative)), relative)
+    return 2 * power + identity
 
 
 @functools.cache
@@ -230,24 +236,24 @@ def contraction_table(n: int) -> ContractionTable:
     """
     orders = [p.image for p in enumerate_orders(n)]
     subsets = tuple(zs.members for z in range(n + 1) for zs in zero_subsets(n, z))
-    table = np.empty((len(subsets), len(orders), len(orders), 2), dtype=np.int8)
+    # Pair (k, k')'s codes over the subsets lie contiguous at codes[k - 1, k' - 1].
+    codes = np.empty((len(orders), len(orders), len(subsets)), dtype=np.int8)
     for s, members in enumerate(subsets):
         words: dict[tuple[int, ...], int] = {}
         pick = np.array([words.setdefault(_restrict(o, members), len(words)) for o in orders])
         # Slots are dummy labels, so a word pair's value depends only on
         # the order of the right word relative to the left one.
         distinct = np.array(
-            [[_relative_rule(tuple(map(u.index, v))) for v in words] for u in words],
+            [[_relative_code(tuple(map(u.index, v))) for v in words] for u in words],
             dtype=np.int8,
         )
-        table[s] = distinct[pick[:, None], pick[None, :]]
-    # Pairs (k, k') whose (identity, power) columns over the subsets match share one.
-    pairs = table.view(np.int16).reshape(len(subsets), -1).T.copy()  # byte pairs as int16
+        codes[:, :, s] = distinct[pick[:, None], pick[None, :]]
+    # Pairs (k, k') whose codes over the subsets match share one column.
     columns: dict[bytes, int] = {}
-    keys = pairs.view(np.dtype((np.void, pairs[0].nbytes))).ravel().tolist()
-    column = np.reshape([columns.setdefault(key, len(columns)) for key in keys], table.shape[1:3])
-    unique = np.frombuffer(b"".join(columns), dtype=np.int8).reshape(len(columns), -1, 2).T
-    arrays = unique[0] == 1, unique[1].copy(), column
+    keys = codes.view(np.dtype((np.void, len(subsets)))).ravel().tolist()
+    column = np.reshape([columns.setdefault(key, len(columns)) for key in keys], codes.shape[:2])
+    unique = np.frombuffer(b"".join(columns), dtype=np.int8).reshape(len(columns), -1).T
+    arrays = unique % 2 == 1, unique >> 1, column
     for array in arrays:
         array.setflags(write=False)
     return ContractionTable(subsets, *arrays)
@@ -260,7 +266,7 @@ def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> tuple[bool, int]:
     unitary basis. Returns (word is I, power of d) like ``_loop_rule``, read
     through the pair's column of ``contraction_table(zeros.n)``.
     """
-    _check_channel_count(zeros.n)  # before the table, which grows as 2^n n!^2
+    _check_channel_count(zeros.n, MAX_ASSEMBLE_CHANNELS)  # the table grows as 2^n n!^2
     for label in (k, kp):
         _check_order_label(zeros.n, label)
     table = contraction_table(zeros.n)
@@ -271,24 +277,6 @@ def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> tuple[bool, int]:
 # ---------------------------------------------------------------------------
 # Block assembly.
 # ---------------------------------------------------------------------------
-
-
-def _channel_dimension(channels: Sequence[DepolarizingChannel]) -> int:
-    if not channels:
-        raise ValueError("at least one channel is required")
-    d = channels[0].d
-    if any(ch.d != d for ch in channels):
-        raise ValueError("all channels must share one dimension")
-    return d
-
-
-def _check_channel_count(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"at least one channel is required, got n={n}")
-    if n > MAX_ASSEMBLE_CHANNELS:
-        raise SizeLimitError(
-            f"block assembly supports up to {MAX_ASSEMBLE_CHANNELS} channels, got {n}"
-        )
 
 
 def _switch_blocks(n: int, d: int, q: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -331,11 +319,9 @@ def assemble_blocks(
     is the factored form of the subset prefactor with all (1-q_a)
     denominators cancelled, so transparent channels (q_a = 1) are regular.
     """
-    n = len(channels)
-    d = _channel_dimension(channels)
+    n, d = _channel_list(channels, MAX_ASSEMBLE_CHANNELS)
     if ctrl.n != n:
         raise ValueError(f"control is for {ctrl.n} channels, got {n}")
-    _check_channel_count(n)
     a, b = _switch_blocks(n, d, np.array([[ch.q for ch in channels]]), np.array([ctrl.probs]))[0]
     return SwitchBlockMatrix(n=n, d=d, a=a, b=b)
 
@@ -452,8 +438,7 @@ def _order_products(
     product chains Kraus stacks in product order, then puts the tuple axes
     back in slot order.
     """
-    n = len(channels)
-    d = _channel_dimension(channels)
+    n, d = _channel_list(channels)
     m = d * d + 1
     if m**n > TUPLE_BUDGET:
         raise SizeLimitError(
@@ -500,6 +485,8 @@ def kraus_sum_output(
     n, d, nf, chunks = _order_products(channels)
     if ctrl.n != n:
         raise ValueError(f"control is for {ctrl.n} channels, got {n}")
+    if rho.d != d:
+        raise ValueError(f"state dimension {rho.d} != channel dimension {d}")
     out = np.zeros((nf * d, nf * d), dtype=complex)
     for ops in chunks:
         left = (ops.reshape(-1, d) @ rho.entries).reshape(nf * d, -1)

@@ -58,14 +58,12 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-def _check_order_count(n: int) -> None:
-    """The package's one order-count rule: an integer n in 1..MAX_ORDER_CHANNELS."""
+def _check_channel_count(n: int, cap: int = MAX_ORDER_CHANNELS) -> None:
+    """The package's one channel-count rule: an integer n in 1..cap (SizeLimitError outside)."""
     if not isinstance(n, Integral):
         raise ValueError(f"the number of channels must be an integer, got n={n!r}")
-    if not 1 <= n <= MAX_ORDER_CHANNELS:
-        raise SizeLimitError(
-            f"causal-order enumeration supports 1..{MAX_ORDER_CHANNELS} channels, got n={n}"
-        )
+    if not 1 <= n <= cap:
+        raise SizeLimitError(f"this computation supports 1..{cap} channels, got n={n}")
 
 
 def enumerate_orders(n: int) -> list[Permutation]:
@@ -73,7 +71,7 @@ def enumerate_orders(n: int) -> list[Permutation]:
 
     The list index + 1 equals each order's label k.
     """
-    _check_order_count(n)
+    _check_channel_count(n)
     return [Permutation(img) for img in permutations(range(1, n + 1))]
 
 
@@ -99,6 +97,7 @@ class ZeroSubset:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        _check_channel_count(self.n)
         object.__setattr__(self, "members", tuple(int(v) for v in self.members))
         if list(self.members) != sorted(set(self.members)):
             raise ValueError(f"members must be sorted and distinct: {self.members}")
@@ -108,6 +107,7 @@ class ZeroSubset:
 
 def zero_subsets(n: int, z: int) -> list[ZeroSubset]:
     """All C(n, z) size-z subsets of {1..n}, in lexicographic order."""
+    _check_channel_count(n)
     if not 0 <= z <= n:
         raise ValueError(f"subset size must be in 0..{n}, got z={z}")
     return [ZeroSubset(n, members) for members in combinations(range(1, n + 1), z)]

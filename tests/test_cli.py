@@ -1,9 +1,15 @@
+import contextlib
+import io
 import math
 import os
+import re
 import stat
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qnswitch.cli import (
     EXIT_IO,
@@ -92,7 +98,7 @@ class TestHolevoCommand:
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err == f"error: this computation supports 1..5 channels, got n={n}\n"
 
 
 def test_help_exits_cleanly(capsys):
@@ -290,15 +296,15 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "error" in err
 
-    @pytest.mark.parametrize("n", ["0", "30"])
+    @pytest.mark.parametrize("n", ["0", "6", "30"])
     def test_channel_count_checked_first(self, capsys, tmp_path, n):
         out_path = tmp_path / "x.csv"
         code, _, err = run(
             capsys, "sweep", "--n", n, "--d", "2", "--q-linked", "0.5", "--out", str(out_path)
         )
         assert code == EXIT_USAGE
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert not out_path.exists()
+        assert err == f"error: this computation supports 1..5 channels, got n={n}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_integer_channel_count_in_config(self, capsys, tmp_path):
         out_path = tmp_path / "x.csv"
@@ -418,6 +424,8 @@ class TestProbabilityRule:
     OFF_BY_1E14 = "0.12345650000000004,0.8765435000000099"
     NEGATIVE = "-0.1,1.1"
     NAN = "nan,1"
+    # Finite entries whose exact sum is beyond the float range.
+    OVERFLOW = "1e308,1e308"
 
     SURFACES = ["holevo", "sweep-flag", "sweep-config", "ControlSpec"]
 
@@ -471,6 +479,11 @@ class TestProbabilityRule:
         assert fields is None
 
     @pytest.mark.parametrize("surface", SURFACES)
+    def test_overflowing_sum_is_rejected(self, capsys, tmp_path, surface):
+        fields = self.submit(surface, self.OVERFLOW, capsys, tmp_path, reason="sum to 1")
+        assert fields is None
+
+    @pytest.mark.parametrize("surface", SURFACES)
     def test_sum_off_by_1e14_is_accepted_and_divided(self, capsys, tmp_path, surface):
         fields = self.submit(surface, self.OFF_BY_1E14, capsys, tmp_path)
         assert fields is not None
@@ -481,6 +494,120 @@ class TestProbabilityRule:
         if surface != "ControlSpec":
             assert fields == [format(v / total, ".6g") for v in values]
             assert fields == ["0.123456", "0.876544"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["holevo", "--n", "2.0", "--d", "2", "--q", "0.5,0.5"],
+        ["sweep", "--n", "2.0", "--d", "2", "--q-linked", "0.5"],
+    ],
+)
+def test_non_integer_channel_count_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.splitlines()[-1].endswith("error: argument --n: invalid int value: '2.0'")
+
+
+class BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestStdoutFailure:
+    """A failed write to stdout is an I/O error: exit 3 and one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--d-max", "3"],
+            ["holevo", "--n", "2", "--d", "2", "--q", "0.5,0.5"],
+            ["verify"],
+        ],
+    )
+    def test_broken_pipe(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_IO
+        assert err == "error: [Errno 32] Broken pipe\n"
+
+
+# Values the fuzz gate puts in place of a valid field or list entry.
+MALFORMED = ["", ";", " ", "x", "nan", "inf", "-1", "1e308", "1.5", "2.0", "1" + "0" * 400]
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv, --out value) for one CLI call: a small valid call, often with one field broken.
+
+    n <= 3, d <= 8, --d-max <= 12 and at most 2 x 8 x 2 sweep points keep it fast.
+    """
+    command = draw(st.sampled_from(["holevo", "sweep", "table1", "verify"]))
+    n = draw(st.integers(1, 3))
+    nf = math.factorial(n)
+
+    def units(lo, hi):
+        values = st.sampled_from(["0", "0.25", "0.5", "1"])
+        return st.lists(values, min_size=lo, max_size=hi).map(",".join)
+
+    probs = st.one_of(
+        st.just("uniform"),
+        st.just(",".join([repr(1 / nf)] * nf)),
+        st.just(",".join(["1e308"] * nf)),  # finite entries whose sum overflows
+        st.integers(0, nf - 1).map(lambda k: ",".join("1" if j == k else "0" for j in range(nf))),
+    )
+    dims = st.lists(st.integers(2, 8).map(str), min_size=1, max_size=2).map(",".join)
+    out = None
+    if command == "table1":
+        argv = ["table1", f"--d-max={draw(st.integers(2, 12))}"]
+    elif command == "verify":  # a valid seed runs every check, so the seed is always broken
+        argv = ["verify", f"--seed={draw(st.sampled_from(MALFORMED))}"]
+    elif command == "holevo":
+        argv = ["holevo", f"--n={n}", f"--d={draw(st.integers(2, 8))}", f"--q={draw(units(n, n))}"]
+        argv.append(f"--p={draw(probs)}")
+    else:
+        if draw(st.booleans()):
+            q = [f"--q={draw(units(0, 2))}" for _ in range(n)]
+        else:
+            q = [f"--q-linked={draw(units(0, 4))}"]
+        p = ";".join(draw(st.lists(probs, min_size=1, max_size=2)))
+        out = draw(st.sampled_from(["out.csv", "missing/out.csv", ".", ""]))
+        argv = ["sweep", f"--n={n}", f"--d={draw(dims)}", *q, f"--p={p}", f"--out={out}"]
+    if command != "verify" and draw(st.booleans()):
+        i = draw(st.integers(1, len(argv) - (2 if out is not None else 1)))
+        flag, _, value = argv[i].partition("=")
+        entries = value.split(",")
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(MALFORMED))
+        broken = [f"{flag}={','.join(entries)}", f"{flag}={draw(st.sampled_from(MALFORMED))}"]
+        argv[i : i + 1] = draw(st.sampled_from([broken[:1], broken[1:], [], ["--bogus"]]))
+    return argv, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argvs())
+@example((["holevo", "--n=2", "--d=2", "--q=0.5,0.5", "--p=1e308,1e308"], None))
+@example((["sweep", "--n=2", "--d=2", "--q-linked=0.5", "--p=1e308,1e308", "--out=out.csv"],
+          "out.csv"))
+def test_cli_fuzz_fails_cleanly(drawn):
+    """Any argv exits with a known code, no traceback and one final error line.
+
+    A failed sweep leaves nothing in its output directory.
+    """
+    argv, out = drawn
+    with tempfile.TemporaryDirectory() as work:
+        if out:  # a name relative to a new directory
+            argv = [arg.replace("--out=", f"--out={work}/", 1) for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_IO, EXIT_NUMERICAL)
+        assert "Traceback" not in err + stdout.getvalue()
+        if err:
+            assert re.match(r"(qnswitch( \w+)?: )?error: ", err.splitlines()[-1])
+        if argv[0] == "sweep":
+            written = ["out.csv"] if code == EXIT_OK and out == "out.csv" else []
+            assert os.listdir(work) == written
 
 
 class TestParserReuse:

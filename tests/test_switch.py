@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import product
 
@@ -9,6 +10,7 @@ import qnswitch.switch as sw
 from qnswitch.channels import (
     DensityMatrix,
     DepolarizingChannel,
+    compose_definite,
     random_density,
 )
 from qnswitch.errors import SizeLimitError
@@ -26,7 +28,8 @@ from qnswitch.switch import (
     _loop_rule,
     _restrict,
 )
-from qnswitch.symgroup import ZeroSubset, enumerate_orders, zero_subsets
+from qnswitch.holevo import holevo_batch, holevo_information
+from qnswitch.symgroup import Permutation, ZeroSubset, enumerate_orders, zero_subsets
 from qnswitch.verify import CONTRACTION_TABLE_N2, CONTRACTION_TABLE_N3
 
 
@@ -71,6 +74,12 @@ class TestControlSpec:
             lambda n: ControlSpec.definite(n, 1),
             lambda n: ControlSpec(n, (0.5, 0.5)),
             enumerate_orders,
+            lambda n: zero_subsets(n, 1),
+            lambda n: ZeroSubset(n, ()),
+            lambda n: SwitchBlockMatrix(n=n, d=2, a=np.zeros((2, 2)), b=np.eye(2) / 2),
+            lambda n: contract_pair(1, 1, ZeroSubset(n, ())),
+            lambda n: holevo_batch(n, 2, [(0.5, 0.5)], [(0.5, 0.5)]),
+            lambda n: holevo_information(n, 2, (0.5, 0.5), (0.5, 0.5)),
         ):
             with pytest.raises(ValueError, match="must be an integer"):
                 make(n)
@@ -95,6 +104,73 @@ class TestControlSpec:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             ControlSpec(2, (0.6, 0.6))
+
+
+RHO2 = DensityMatrix.maximally_mixed(2)
+
+
+class TestChannelCountRule:
+    """One channel-count rule: an integer n in 1..cap, else SizeLimitError.
+
+    The cap is 5 where a contraction table is built and 8 elsewhere. Where
+    an entry point takes a channel list, n is the list's length.
+    """
+
+    @pytest.mark.parametrize(
+        "make,cap",
+        [
+            pytest.param(enumerate_orders, 8, id="enumerate_orders"),
+            pytest.param(lambda n: zero_subsets(n, 0), 8, id="zero_subsets"),
+            pytest.param(lambda n: ZeroSubset(n, ()), 8, id="ZeroSubset"),
+            pytest.param(lambda n: ControlSpec(n, (1.0,)), 8, id="ControlSpec"),
+            pytest.param(ControlSpec.uniform, 8, id="ControlSpec.uniform"),
+            pytest.param(lambda n: ControlSpec.definite(n, 1), 8, id="ControlSpec.definite"),
+            pytest.param(
+                lambda n: SwitchBlockMatrix(n=n, d=2, a=[[0.0]], b=[[1.0]]), 8,
+                id="SwitchBlockMatrix",
+            ),
+            pytest.param(lambda n: contract_pair(1, 1, ZeroSubset(n, ())), 5, id="contract_pair"),
+            pytest.param(
+                lambda n: holevo_batch(n, 2, [(0.5, 0.5)], [(0.5, 0.5)]), 5, id="holevo_batch"
+            ),
+            pytest.param(
+                lambda n: holevo_information(n, 2, (0.5, 0.5), (0.5, 0.5)), 5,
+                id="holevo_information",
+            ),
+        ],
+    )
+    def test_count_outside_the_cap(self, make, cap):
+        # contract_pair's ZeroSubset(0, ()) already fails at its own cap of 8.
+        with pytest.raises(SizeLimitError, match="channels, got n=0"):
+            make(0)
+        with pytest.raises(SizeLimitError, match=f"1..{cap} channels, got n={cap + 1}"):
+            make(cap + 1)
+
+    @pytest.mark.parametrize(
+        "make,cap",
+        [
+            pytest.param(
+                lambda chans: assemble_blocks(chans, ControlSpec.uniform(2)), 5,
+                id="assemble_blocks",
+            ),
+            pytest.param(
+                lambda chans: kraus_sum_output(chans, ControlSpec.uniform(2), RHO2), 8,
+                id="kraus_sum_output",
+            ),
+            pytest.param(completeness_defect, 8, id="completeness_defect"),
+            pytest.param(
+                lambda chans: compose_definite(
+                    chans, Permutation(tuple(range(1, len(chans) + 1))), RHO2
+                ),
+                8,
+                id="compose_definite",
+            ),
+        ],
+    )
+    def test_channel_list_outside_the_cap(self, make, cap):
+        for n in (0, cap + 1):
+            with pytest.raises(SizeLimitError, match=f"1..{cap} channels, got n={n}"):
+                make(channels_for([0.5] * n, 2))
 
 
 class TestBlockTypes:
@@ -367,6 +443,13 @@ class TestKrausSumOutput:
             reference = kraus_sum_output(chans, ctrl, rho)
             assert np.abs(dense - reference).max() < 1e-10
 
+    def test_rejects_state_of_another_dimension(self):
+        with pytest.raises(ValueError, match="state dimension 3 != channel dimension 2"):
+            kraus_sum_output(
+                channels_for((0.5, 0.5), 2), ControlSpec.uniform(2),
+                DensityMatrix.maximally_mixed(3),
+            )
+
     def test_budget_guard(self, rng, monkeypatch):
         # N = 5, d = 4 needs 17^5 = 1,419,857 index tuples, over the budget;
         # the guard fires before any Kraus stack or product is built.
@@ -459,6 +542,26 @@ class TestContractionTable:
         assert len({(kind.tobytes(), power.tobytes()) for kind, power in columns}) == count
         _, first = np.unique(table.column, return_index=True)
         assert np.array_equal(table.column.ravel()[np.sort(first)], np.arange(count))
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (1, "cb9e60085ae2fafac73360bcfbe003e9"),
+            (2, "2a32a9e1744e4dcb8ec7575973248de8"),
+            (3, "07982999edb51315bfffe8657374261a"),
+            (4, "767fb17e6e342d749330ce78bf43d071"),
+            (5, "231bb761b3154bb631bd5a50996a90ff"),
+        ],
+    )
+    def test_arrays_are_pinned(self, n, digest):
+        # Digests of the arrays as built when each contraction was stored as
+        # an (identity, power) byte pair; the one-code build must match them bitwise.
+        table = contraction_table(n)
+        h = hashlib.sha256()
+        for array in (table.identity, table.power, table.column):
+            h.update(f"{array.dtype.str}{array.shape}".encode())
+            h.update(array.tobytes())
+        assert h.hexdigest()[:32] == digest
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_and_read_only(self, n):
