@@ -12,10 +12,13 @@ control-vector rule (n! nonnegative entries whose exact sum is within 1e-12
 of 1; they are then divided by that sum). The grid is evaluated in chunks of at
 most SWEEP_CHUNK_ENTRIES // (n! d) points, whole q rows by every control (one q
 row's controls in parts if they alone are over), one ``holevo_batch`` call and
-one format call each, so memory does not grow with it. ``sweep`` streams its
-rows to a temporary file next to the output and renames it into place only when
-every row is written, so a failed sweep leaves any previous output untouched;
-``holevo`` prints nothing if it fails.
+one format call each, so memory does not grow with it. No Python code runs once
+per row: a chunk's q rows are a range of flat grid indices, unravelled into one
+index per q axis (``--q-linked`` is one axis shared by every channel), each q
+value is formatted once per axis, and numpy's object loop joins each row's q
+texts. ``sweep`` streams its rows to a temporary file next to the output and
+renames it into place only when every row is written, so a failed sweep leaves
+any previous output untouched; ``holevo`` prints nothing if it fails.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -98,19 +101,6 @@ class SweepSpec:
     q_linked: tuple[float, ...] | None
     p_vectors: tuple[tuple[float, ...], ...]
 
-    def q_rows(self) -> Iterable[tuple[tuple[float, ...], str]]:
-        """Each q tuple of the grid in order, with its CSV fields.
-
-        Every distinct value is formatted once, not once per row.
-        """
-        if self.q_linked is not None:
-            for v in self.q_linked:
-                yield (v,) * self.n, ",".join([_fmt(v)] * self.n)
-        else:
-            axes = [[(v, _fmt(v)) for v in axis] for axis in self.q_axes]
-            for combo in product(*axes):
-                yield tuple(v for v, _ in combo), ",".join(text for _, text in combo)
-
 
 def _grid_spec(
     n: int, d_values: Sequence[int], q_axes: Iterable[Sequence[float]] | None,
@@ -135,27 +125,40 @@ def _grid_spec(
 
 def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
     """The CSV text: the header, then one string per chunk of rows, d slowest, then q, then p."""
-    nf = math.factorial(spec.n)
-    qcols = ",".join(f"q{j}" for j in range(1, spec.n + 1))
+    n = spec.n
+    nf = math.factorial(n)
+    qcols = ",".join(f"q{j}" for j in range(1, n + 1))
     pcols = ",".join(f"p{k}" for k in range(1, nf + 1))
     yield f"n,d,{qcols},{pcols},h_min,h_control,chi\n"
+    axes = spec.q_axes if spec.q_linked is None else (spec.q_linked,)
+    channel_axis = range(n) if spec.q_linked is None else [0] * n
+    shape = tuple(map(len, axes))
+    q_values = [np.array(axis, dtype=float) for axis in axes]
+    q_texts = [np.array([_fmt(v) for v in axis], dtype=object) for axis in axes]
+    q_count = math.prod(shape) if spec.p_vectors else 0  # with no control, no batch runs
     probs = np.array(spec.p_vectors)
     p_texts = [",".join(map(_fmt, p)) for p in spec.p_vectors]
     for d in spec.d_values:
         points = max(1, SWEEP_CHUNK_ENTRIES // (nf * d))
-        p_step = min(len(p_texts), points) or 1  # with no control, no batch runs
+        p_step = min(len(p_texts), points) or 1
+        q_step = points // p_step
         # "%.6g" formats a float exactly as _fmt does; adding 0.0 turns
         # -0.0 into 0.0 there and here.
-        row = f"{spec.n},{d},%s,%s,%.6g,%.6g,%.6g\n"
-        q_rows = iter(spec.q_rows())
-        while chunk := list(islice(q_rows, points // p_step)):
-            q = [qs for qs, _ in chunk]
+        row = f"{n},{d},%s,%s,%.6g,%.6g,%.6g\n"
+        for start in range(0, q_count, q_step):
+            index = np.unravel_index(np.arange(start, min(start + q_step, q_count)), shape)
+            q = np.stack([q_values[a][index[a]] for a in channel_axis], axis=1)
+            # One q text per row, joined by numpy's object loop: a %s slot per q
+            # value made the heap grow over repeated sweeps in one process.
+            q_text = q_texts[0][index[0]]
+            for a in channel_axis[1:]:
+                q_text = q_text + "," + q_texts[a][index[a]]
             for lo in range(0, len(p_texts), p_step):
-                values = np.stack(holevo_batch(spec.n, d, q, probs[lo : lo + p_step])) + 0.0
-                texts = p_texts[lo : lo + p_step]
-                fields = [None] * (5 * len(chunk) * len(texts))
-                fields[0::5] = [q_text for _, q_text in chunk for _ in texts]
-                fields[1::5] = texts * len(chunk)
+                values = np.stack(holevo_batch(n, d, q, probs[lo : lo + p_step])) + 0.0
+                controls = p_texts[lo : lo + p_step]
+                fields = [None] * (5 * len(q) * len(controls))
+                fields[0::5] = q_text.repeat(len(controls)).tolist()
+                fields[1::5] = controls * len(q)
                 fields[2::5], fields[3::5], fields[4::5] = values.reshape(3, -1).tolist()
                 yield (row * (len(fields) // 5)) % tuple(fields)
 

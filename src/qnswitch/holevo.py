@@ -115,12 +115,15 @@ def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
     Eigenvalues in [-EIGENVALUE_SLACK, 0) count as exact zeros; any lower one
     raises NumericalError. Each row keeps its positive eigenvalues in order, and
     rows that keep the same number of them share one last-axis reduction: equal
-    lengths make numpy sum every row in the order it sums the row alone.
+    lengths make numpy sum every row in the order it sums the row alone. When
+    every value is positive, that is one reduction over the stack as it is.
     """
     low = spectra.min(axis=1)
     bad = np.flatnonzero(low < -EIGENVALUE_SLACK)
     if bad.size:
         raise NumericalError(f"spectrum has a negative eigenvalue: {low[bad[0]]}")
+    if (low > 0.0).all():
+        return (-(spectra * np.log2(spectra))).sum(axis=1) + 0.0
     keep = spectra > 0.0
     counts = keep.sum(axis=1)
     out = np.empty(len(spectra))

@@ -32,6 +32,7 @@ class Permutation:
     def __post_init__(self):
         object.__setattr__(self, "image", tuple(map(int, self.image)))
         n = len(self.image)
+        _check_channel_count(n)
         if sorted(self.image) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.image}")
 
@@ -60,7 +61,8 @@ class Permutation:
 
 def _check_channel_count(n: int, cap: int = MAX_ORDER_CHANNELS) -> None:
     """The package's one channel-count rule: an integer n in 1..cap (SizeLimitError outside)."""
-    if not isinstance(n, Integral):
+    # The exact-type test skips the slower ABC check for a plain int.
+    if type(n) is not int and not isinstance(n, Integral):
         raise ValueError(f"the number of channels must be an integer, got n={n!r}")
     if not 1 <= n <= cap:
         raise SizeLimitError(f"this computation supports 1..{cap} channels, got n={n}")

@@ -18,14 +18,22 @@ is off by 7e-15, so its entries are divided by their exact sum.
 The ``table1`` fixtures are what ``qnswitch table1`` printed by default and
 with ``--d-max 15`` before ``contract_pair`` became a read of the
 contraction table.
+
+The ``GRID_CASES`` have no fixture: their reference is the CSV written one
+point at a time, each q tuple of the grid by each control through
+``holevo_information``.
 """
 
+import math
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import qnswitch.cli as cli
 from qnswitch.cli import EXIT_OK, main
+from qnswitch.holevo import holevo_information
+from qnswitch.switch import ControlSpec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -147,3 +155,67 @@ def test_table1_matches_golden_bytes(name, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+# (n, dimensions, per-channel q lists or None, linked q list or None, controls).
+# "one_point" is the grid that holevo evaluates: every axis has length 1.
+GRID_CASES = {
+    "one_point": (4, [2], [[0.1], [0.2], [0.3], [1.0]], None, ["uniform"]),
+    "length_one_axes": (2, [2, 5], [[0.25], [0.75]], None, ["uniform", "0.3,0.7", "1,0"]),
+    "linked": (3, [2, 3], None, [0.0, 0.35, 1.0], ["uniform", "0,1,0,0,0,0"]),
+    "linked_one_channel": (1, [2, 7], None, [0.0, 0.5, 1.0], ["uniform"]),
+    "per_channel": (
+        3, [2, 3], [[0.0, 0.5, 1.0], [0.2, 1.0], [0.7]], None,
+        ["uniform", "1,0,0,0,0,0", "0.5,0,0.5,0,0,0"],
+    ),
+    "empty_q_list": (2, [2], [[0.5], []], None, ["uniform"]),
+    "empty_linked": (2, [2], None, [], ["uniform"]),
+    "empty_p": (2, [2, 3], [[0.5], [0.5]], None, []),
+}
+
+
+def _fmt(value):
+    return format(float(value) + 0.0, ".6g")
+
+
+def _control(n, text):
+    if text == "uniform":
+        return ControlSpec.uniform(n).probs
+    values = [float(v) for v in text.split(",")]
+    return tuple(v / math.fsum(values) for v in values)
+
+
+def per_point_csv(n, dims, axes, linked, controls):
+    """The sweep's CSV, one ``holevo_information`` call per row: d slowest, then q, then p."""
+    nf = math.factorial(n)
+    header = ["n", "d", *(f"q{j}" for j in range(1, n + 1)), *(f"p{k}" for k in range(1, nf + 1))]
+    lines = [",".join(header + ["h_min", "h_control", "chi"])]
+    q_rows = list(product(*axes)) if linked is None else [(v,) * n for v in linked]
+    probs = [_control(n, text) for text in controls]
+    for d in dims:
+        for q in q_rows:
+            for p in probs:
+                r = holevo_information(n, d, q, p)
+                entropies = (r.h_min, r.h_control, r.chi)
+                lines.append(",".join([str(n), str(d), *map(_fmt, q + p + entropies)]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("entries", [1, 36, cli.SWEEP_CHUNK_ENTRIES])
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_sweep_bytes_are_the_per_point_rows(name, entries, tmp_path, monkeypatch):
+    # 1: one point per batch; 36: one q row's controls split over batches at
+    # N = 3 (3 points a batch at d = 2, 2 at d = 3); the default: whole q rows.
+    n, dims, axes, linked, controls = GRID_CASES[name]
+    argv = ["sweep", "--n", str(n), "--d", ",".join(map(str, dims))]
+    if linked is None:
+        for axis in axes:
+            argv += ["--q", ",".join(map(str, axis))]
+    else:
+        argv += ["--q-linked", ",".join(map(str, linked))]
+    argv += ["--p", ";".join(controls)]
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", entries)
+    out_path = tmp_path / f"{name}.csv"
+    assert main([*argv, "--out", str(out_path)]) == EXIT_OK
+    assert out_path.read_text() == per_point_csv(n, dims, axes, linked, controls)
+

@@ -17,6 +17,7 @@ from qnswitch.channels import (
 import qnswitch.switch as sw
 from qnswitch.errors import NumericalError, SizeLimitError
 from qnswitch.holevo import (
+    EIGENVALUE_SLACK,
     _entropy_rows,
     control_marginal,
     holevo_batch,
@@ -420,10 +421,48 @@ def test_batch_is_bitwise_the_per_point_path(n, d, data):
         built = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(n, probs))
         assert built.a.tobytes() == sbm.a.tobytes() and built.b.tobytes() == sbm.b.tobytes()
         ref_min = min_output_entropy(sbm)
-        ref_control = _entropy_rows(np.linalg.eigvalsh(control_marginal(sbm))[None])[0]
+        ref_control = _reference_entropy(np.linalg.eigvalsh(control_marginal(sbm)))
         ref_chi = math.log2(d) + ref_control - ref_min
         got = (h_min[i, j], h_control[i, j], chi[i, j])
         assert np.array(got).tobytes() == np.array([ref_min, ref_control, ref_chi]).tobytes()
+
+
+def _reference_entropy(spectrum):
+    """Entropy in bits of one spectrum, summed over its positive values alone."""
+    v = spectrum[spectrum > 0]
+    return (-(v * np.log2(v))).sum() + 0.0
+
+
+# 1.0 on its own, since -(1 * log2(1)) is -0.0: no entropy may keep that sign.
+_POSITIVE = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+_NOT_POSITIVE = {
+    "zeros": st.sampled_from([0.0, -0.0]),
+    "slack": st.floats(-EIGENVALUE_SLACK, 0.0, exclude_max=True),
+}
+
+
+# numpy sums a row pairwise in blocks of 8, so lengths on both sides of 8.
+@pytest.mark.parametrize("length", [1, 3, 7, 8, 9, 16, 21])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_entropy_rows_is_bitwise_the_row_by_row_sum(length, data):
+    # Rows that are all positive, and rows with at least one exact zero or
+    # one negative inside the slack, which count as zeros.
+    kinds = st.lists(st.sampled_from(["positive", *_NOT_POSITIVE]), min_size=1, max_size=6)
+    rows = []
+    for kind in data.draw(kinds):
+        if kind == "positive":
+            rows.append(data.draw(st.lists(_POSITIVE, min_size=length, max_size=length)))
+            continue
+        value = st.one_of(_POSITIVE, _NOT_POSITIVE[kind])
+        row = data.draw(st.lists(value, min_size=length - 1, max_size=length - 1))
+        row.insert(data.draw(st.integers(0, length - 1)), data.draw(_NOT_POSITIVE[kind]))
+        rows.append(row)
+    spectra = np.array(rows)
+    # The whole stack, then its all-positive rows alone, which take one reduction.
+    for stack in (spectra, spectra[(spectra > 0).all(axis=1)]):
+        want = np.array([_reference_entropy(row) for row in stack])
+        assert _entropy_rows(stack).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +8,7 @@ from qnswitch.errors import SizeLimitError
 from qnswitch.symgroup import (
     Permutation,
     ZeroSubset,
+    _check_channel_count,
     apply_order,
     enumerate_orders,
     zero_subsets,
@@ -79,6 +81,29 @@ class TestApplyOrder:
     def test_invalid_image(self):
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
+
+
+class TestChannelCountRule:
+    # Integers of any type take the same rule: bools and numpy integers are
+    # numbers.Integral, so True counts as n = 1 and False as n = 0.
+    @pytest.mark.parametrize("n", [1, 8, True, np.int64(3), np.uint8(8), np.int8(1)])
+    def test_accepts(self, n):
+        assert _check_channel_count(n) is None
+
+    @pytest.mark.parametrize("n", [0, 9, -1, False, np.int64(0), np.int64(9), 2**70])
+    def test_outside_the_cap(self, n):
+        with pytest.raises(SizeLimitError, match="1..8 channels"):
+            _check_channel_count(n)
+
+    @pytest.mark.parametrize("n", [2.0, np.float64(2.0), "2", None, 1 + 0j])
+    def test_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            _check_channel_count(n)
+
+    @pytest.mark.parametrize("image", [(), tuple(range(1, 12))], ids=["empty", "eleven"])
+    def test_permutation(self, image):
+        with pytest.raises(SizeLimitError, match=f"1..8 channels, got n={len(image)}"):
+            Permutation(image)
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
