@@ -17,7 +17,6 @@ from .channels import (
 from .errors import NumericalError, SizeLimitError
 from .holevo import (
     HolevoReport,
-    control_marginal,
     holevo_information,
     min_output_entropy,
     min_output_entropy_n2,
@@ -61,7 +60,6 @@ __all__ = [
     "closed_form_n3",
     "completeness_defect",
     "contract_pair",
-    "control_marginal",
     "enumerate_orders",
     "holevo_information",
     "kraus_set",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -86,10 +87,11 @@ def _check_dimension(d) -> int:
 
     A larger d raises SizeLimitError, any other bad d ValueError.
     """
-    if d > MAX_DIMENSION:  # exact for any int, where math.isfinite overflows on a huge one
+    real = type(d) is int or isinstance(d, Real)  # "2", None and 2+0j cannot be ordered
+    if real and d > MAX_DIMENSION:  # exact for any int, where math.isfinite overflows on a huge one
         raise SizeLimitError(f"dimension must be at most {MAX_DIMENSION}, got {d}")
-    if not (math.isfinite(d) and d == int(d) and d >= 2):
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
+    if not (real and math.isfinite(d) and d == int(d) and d >= 2):
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     return int(d)
 
 

@@ -18,7 +18,8 @@ index per q axis (``--q-linked`` is one axis shared by every channel), each q
 value is formatted once per axis, and numpy's object loop joins each row's q
 texts. ``sweep`` streams its rows to a temporary file next to the output and
 renames it into place only when every row is written, so a failed sweep leaves
-any previous output untouched; ``holevo`` prints nothing if it fails.
+any previous output untouched; ``holevo`` prints nothing if it fails. A config
+file only fills the ``sweep`` flags left unset, so it meets the flags' rules.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import functools
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -90,37 +90,36 @@ def _resolve_probs(text: str, n: int) -> tuple[float, ...]:
 class SweepSpec:
     """A rectangular parameter grid, as checked by ``_grid_spec``.
 
-    ``q_axes`` carries one value list per channel (the grid is their
-    cartesian product, channel 1 slowest); ``q_linked`` carries a single
-    list applied to every channel simultaneously. Exactly one is set.
+    The q rows are the cartesian product of ``q_axes`` (the first axis
+    slowest), and channel j reads axis ``channel_axis[j]``: one axis per
+    channel, or with ``--q-linked`` one axis read by every channel.
     """
 
     n: int
     d_values: tuple[int, ...]
-    q_axes: tuple[tuple[float, ...], ...] | None
-    q_linked: tuple[float, ...] | None
+    q_axes: tuple[tuple[float, ...], ...]
+    channel_axis: tuple[int, ...]
     p_vectors: tuple[tuple[float, ...], ...]
 
 
 def _grid_spec(
-    n: int, d_values: Sequence[int], q_axes: Iterable[Sequence[float]] | None,
-    q_linked: Sequence[float] | None, p_texts: Iterable[str]
+    n: int, d_values: Sequence[int], q_axes: Sequence[Sequence[float]], linked: bool,
+    p_texts: Iterable[str]
 ) -> SweepSpec:
     """The CLI's only input check: n, d, q, the q-list count, then each p text.
 
     n comes first, so no n!-long vector is built for an n the assembly
-    cannot take; ``q_axes`` (one q list per channel) may be lazy until then.
+    cannot take. ``q_axes`` is one q list per channel, or one shared list if ``linked``.
     """
     _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)
     d_values = tuple(_check_dimension(d) for d in d_values)
-    if q_axes is not None:
-        q_axes = tuple(tuple(axis) for axis in q_axes)
-    _check_transparencies(list(chain(q_linked or (), *(q_axes or ()))))
-    if q_axes is not None and len(q_axes) != n:
+    q_axes = tuple(tuple(axis) for axis in q_axes)
+    _check_transparencies(list(chain(*q_axes)))
+    if not linked and len(q_axes) != n:
         raise ValueError(f"expected {n} per-channel q lists, got {len(q_axes)}")
+    channel_axis = (0,) * n if linked else tuple(range(n))
     p_vectors = tuple(_resolve_probs(text, n) for text in p_texts)
-    q_linked = None if q_linked is None else tuple(q_linked)
-    return SweepSpec(n, d_values, q_axes, q_linked, p_vectors)
+    return SweepSpec(n, d_values, q_axes, channel_axis, p_vectors)
 
 
 def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
@@ -130,11 +129,9 @@ def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
     qcols = ",".join(f"q{j}" for j in range(1, n + 1))
     pcols = ",".join(f"p{k}" for k in range(1, nf + 1))
     yield f"n,d,{qcols},{pcols},h_min,h_control,chi\n"
-    axes = spec.q_axes if spec.q_linked is None else (spec.q_linked,)
-    channel_axis = range(n) if spec.q_linked is None else [0] * n
-    shape = tuple(map(len, axes))
-    q_values = [np.array(axis, dtype=float) for axis in axes]
-    q_texts = [np.array([_fmt(v) for v in axis], dtype=object) for axis in axes]
+    shape = tuple(map(len, spec.q_axes))
+    q_values = [np.array(axis, dtype=float) for axis in spec.q_axes]
+    q_texts = [np.array([_fmt(v) for v in axis], dtype=object) for axis in spec.q_axes]
     q_count = math.prod(shape) if spec.p_vectors else 0  # with no control, no batch runs
     probs = np.array(spec.p_vectors)
     p_texts = [",".join(map(_fmt, p)) for p in spec.p_vectors]
@@ -147,11 +144,11 @@ def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
         row = f"{n},{d},%s,%s,%.6g,%.6g,%.6g\n"
         for start in range(0, q_count, q_step):
             index = np.unravel_index(np.arange(start, min(start + q_step, q_count)), shape)
-            q = np.stack([q_values[a][index[a]] for a in channel_axis], axis=1)
+            q = np.stack([q_values[a][index[a]] for a in spec.channel_axis], axis=1)
             # One q text per row, joined by numpy's object loop: a %s slot per q
             # value made the heap grow over repeated sweeps in one process.
             q_text = q_texts[0][index[0]]
-            for a in channel_axis[1:]:
+            for a in spec.channel_axis[1:]:
                 q_text = q_text + "," + q_texts[a][index[a]]
             for lo in range(0, len(p_texts), p_step):
                 values = np.stack(holevo_batch(n, d, q, probs[lo : lo + p_step])) + 0.0
@@ -165,7 +162,7 @@ def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
 
 def cmd_holevo(args: argparse.Namespace) -> int:
     q = _parse_list(args.q)
-    spec = _grid_spec(args.n, (args.d,), [(v,) for v in q], None, [args.p])
+    spec = _grid_spec(args.n, (args.d,), [(v,) for v in q], False, [args.p])
     # join() consumes every row before print() runs: a failed point prints nothing.
     print("".join(_csv_chunks(spec)), end="")
     return EXIT_OK
@@ -214,15 +211,32 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _config_axes(config: dict[str, str], n: int) -> Iterator[list[float]]:
-    """Config keys q1..qn, read lazily: ``_grid_spec`` checks n before these loops run."""
-    if not any(f"q{j}" in config for j in range(1, n + 1)):
-        raise ValueError("a q grid is required (--q per channel, --q-linked, or config)")
-    for j in range(1, n + 1):
-        key = f"q{j}"
-        if key not in config:
-            raise ValueError(f"config is missing per-channel grid key '{key}'")
-        yield _parse_list(config[key])
+def _fill_from_config(args: argparse.Namespace) -> None:
+    """Set each sweep flag left unset from the config key that names it.
+
+    The keys are n, d, q1..qN (``--q``, in order), q_linked, p and output (``--out``);
+    the file's q keys count only when no q flag is set.
+    """
+    config = _read_config(args.config)
+    q_keys = [f"q{j}" for j in range(1, len(config) + 1) if f"q{j}" in config]
+    unknown = set(config) - {"n", "d", "q_linked", "p", "output", *q_keys}
+    if unknown:
+        raise ValueError(f"unknown config key {min(unknown)!r} (n, d, q1..qN, q_linked, p, output)")
+    if q_keys and "q_linked" in config:
+        raise ValueError("config keys q1..qN and q_linked are mutually exclusive")
+    if q_keys != [f"q{j}" for j in range(1, len(q_keys) + 1)]:
+        raise ValueError(f"config q keys must be q1..qN, got {', '.join(q_keys)}")
+    if args.n is None and "n" in config:
+        try:
+            args.n = int(config["n"])
+        except ValueError:
+            raise ValueError(f"config key 'n' must be an integer, got {config['n']!r}") from None
+    if args.q is None and args.q_linked is None:
+        args.q = [config[key] for key in q_keys] or None
+        args.q_linked = config.get("q_linked")
+    args.d = config.get("d") if args.d is None else args.d
+    args.p = args.p or ([config["p"]] if "p" in config else None)
+    args.out = config.get("output") if args.out is None else args.out
 
 
 def _write_atomically(path: str, chunks: Iterable[str]) -> None:
@@ -232,13 +246,12 @@ def _write_atomically(path: str, chunks: Iterable[str]) -> None:
     temporary file is removed and ``path`` keeps its old contents.
     """
     directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    # O_EXCL never opens an existing file; the kernel applies the umask to 0o666, as open() does.
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)  # the mode open() would have given
         os.replace(tmp_path, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -247,43 +260,26 @@ def _write_atomically(path: str, chunks: Iterable[str]) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _read_config(args.config) if args.config else {}
-
-    try:
-        n = args.n if args.n is not None else int(config["n"])
-    except KeyError:
-        raise ValueError("the number of channels is required (--n or config key 'n')") from None
-    except ValueError:
-        raise ValueError(f"config key 'n' must be an integer, got {config['n']!r}") from None
-
-    d_text = args.d if args.d is not None else config.get("d")
-    if d_text is None:
+    if args.config:
+        _fill_from_config(args)
+    if args.n is None:
+        raise ValueError("the number of channels is required (--n or config key 'n')")
+    if args.d is None:
         raise ValueError("dimension list is required (--d or config key 'd')")
-
-    q_axes = None
-    q_linked = None
     if args.q and args.q_linked is not None:
         raise ValueError("--q and --q-linked are mutually exclusive")
-    if args.q:
-        q_axes = [_parse_list(text) for text in args.q]
-    elif args.q_linked is not None:
-        q_linked = _parse_list(args.q_linked)
-    elif "q_linked" in config:
-        q_linked = _parse_list(config["q_linked"])
-    else:
-        q_axes = _config_axes(config, n)
-
-    p_text = args.p if args.p else ([config["p"]] if "p" in config else ["uniform"])
-    p_texts = [vec for chunk in p_text for vec in chunk.split(";") if vec.strip()]
-    spec = _grid_spec(n, _parse_list(d_text, int), q_axes, q_linked, p_texts)
-
-    output = args.out if args.out is not None else config.get("output")
-    if not output:
+    if args.q is None and args.q_linked is None:
+        raise ValueError("a q grid is required (--q per channel, --q-linked, or config)")
+    linked = args.q_linked is not None
+    q_axes = [_parse_list(text) for text in ([args.q_linked] if linked else args.q)]
+    p_texts = [vec for chunk in args.p or ["uniform"] for vec in chunk.split(";") if vec.strip()]
+    spec = _grid_spec(args.n, _parse_list(args.d, int), q_axes, linked, p_texts)
+    if not args.out:
         raise ValueError("an output path is required (--out or config key 'output')")
     try:
-        _write_atomically(output, _csv_chunks(spec))
+        _write_atomically(args.out, _csv_chunks(spec))
     except OSError as exc:
-        print(f"error: cannot write {output}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
@@ -340,16 +336,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", help="key = value file; flags override it")
     sweep.add_argument("--n", type=int, help="number of channels")
     sweep.add_argument("--d", help="comma list of dimensions")
-    sweep.add_argument(
-        "--q",
-        action="append",
-        help="per-channel grid; repeat the flag once per channel",
-    )
+    sweep.add_argument("--q", action="append", help="per-channel grid; repeat once per channel")
     sweep.add_argument("--q-linked", help="shared grid with q1 = ... = qN")
     sweep.add_argument(
-        "--p",
-        action="append",
-        help="'uniform' or probability vectors, ';'-separated within one flag",
+        "--p", action="append", help="'uniform' or probability vectors, ';'-separated in one flag"
     )
     sweep.add_argument("--out", help="output CSV path")
     sweep.set_defaults(func=cmd_sweep)

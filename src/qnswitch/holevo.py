@@ -62,15 +62,6 @@ def von_neumann_entropy(matrix: np.ndarray) -> float:
     return float(_entropy_rows(_spectrum(np.asarray(matrix))[None])[0])
 
 
-def control_marginal(sbm: SwitchBlockMatrix) -> np.ndarray:
-    """Reduced control state after the switch: entry (k, k') = d*a + b.
-
-    Tracing each block a*I + b*rho over the target gives a*d + b, so the
-    marginal is independent of the target state.
-    """
-    return sbm.d * sbm.a + sbm.b
-
-
 def min_output_entropy(sbm: SwitchBlockMatrix) -> float:
     """Minimum output entropy over target states, in bits.
 

@@ -30,7 +30,7 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "image", tuple(map(int, self.image)))
+        object.__setattr__(self, "image", _integers(self.image, "order entries"))
         n = len(self.image)
         _check_channel_count(n)
         if sorted(self.image) != list(range(1, n + 1)):
@@ -68,6 +68,14 @@ def _check_channel_count(n: int, cap: int = MAX_ORDER_CHANNELS) -> None:
         raise SizeLimitError(f"this computation supports 1..{cap} channels, got n={n}")
 
 
+def _integers(values: Sequence, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints if each passes the channel-count rule's integer test."""
+    for v in values:
+        if type(v) is not int and not isinstance(v, Integral):  # a plain int skips the ABC check
+            raise ValueError(f"{what} must be integers, got {tuple(values)}")
+    return tuple(map(int, values))
+
+
 def enumerate_orders(n: int) -> list[Permutation]:
     """All n! causal orders on n channels, in lexicographic order.
 
@@ -100,7 +108,7 @@ class ZeroSubset:
 
     def __post_init__(self):
         _check_channel_count(self.n)
-        object.__setattr__(self, "members", tuple(int(v) for v in self.members))
+        object.__setattr__(self, "members", _integers(self.members, "members"))
         if list(self.members) != sorted(set(self.members)):
             raise ValueError(f"members must be sorted and distinct: {self.members}")
         if self.members and not (1 <= self.members[0] and self.members[-1] <= self.n):

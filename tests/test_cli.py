@@ -410,6 +410,89 @@ class TestSweepCommand:
         assert float(rows[-1][-1]) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestConfigFile:
+    """A config file fills the sweep flags the user left unset, and meets their rules."""
+
+    NOISE_MAP = (  # README's noise_map.cfg
+        "# noise_map.cfg\n"
+        "n = 2\n"
+        "d = 2\n"
+        "q1 = 0,0.25,0.5,0.75,1\n"
+        "q2 = 0,0.25,0.5,0.75,1\n"
+        "p = 0,1; 0.25,0.75; 0.5,0.5; 0.75,0.25; 1,0\n"
+        "output = {out}\n"
+    )
+
+    @staticmethod
+    def both_routes(capsys, tmp_path, config, config_flags, flags):
+        """The bytes of the config sweep and of the flag sweep, which must both succeed."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config.format(out=tmp_path / "from_config.csv"))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), *config_flags)
+        assert (code, err) == (EXIT_OK, "")
+        flag_out = tmp_path / "from_flags.csv"
+        code, _, err = run(capsys, "sweep", *flags, "--out", str(flag_out))
+        assert (code, err) == (EXIT_OK, "")
+        return (tmp_path / "from_config.csv").read_bytes(), flag_out.read_bytes()
+
+    def test_readme_noise_map(self, capsys, tmp_path):
+        grid = "0,0.25,0.5,0.75,1"
+        flags = ["--n", "2", "--d", "2", "--q", grid, "--q", grid,
+                 "--p", "0,1; 0.25,0.75; 0.5,0.5; 0.75,0.25; 1,0"]
+        from_config, from_flags = self.both_routes(capsys, tmp_path, self.NOISE_MAP, [], flags)
+        assert from_config == from_flags
+        assert len(parse_csv(from_config.decode())[1]) == 125
+
+    def test_linked_grid_at_three_channels(self, capsys, tmp_path):
+        config = "n = 3\nd = 2,3\nq_linked = 0,0.3,1\np = uniform; 1,0,0,0,0,0\noutput = {out}\n"
+        flags = ["--n", "3", "--d", "2,3", "--q-linked", "0,0.3,1", "--p", "uniform; 1,0,0,0,0,0"]
+        from_config, from_flags = self.both_routes(capsys, tmp_path, config, [], flags)
+        assert from_config == from_flags
+        assert len(parse_csv(from_config.decode())[1]) == 12
+
+    def test_flags_override_p_and_output(self, capsys, tmp_path):
+        override = ["--p", "0.3,0.7", "--out", str(tmp_path / "from_config.csv")]
+        config = self.NOISE_MAP.replace("output = {out}", f"output = {tmp_path / 'ignored.csv'}")
+        grid = "0,0.25,0.5,0.75,1"
+        flags = ["--n", "2", "--d", "2", "--q", grid, "--q", grid, "--p", "0.3,0.7"]
+        from_config, from_flags = self.both_routes(capsys, tmp_path, config, override, flags)
+        assert from_config == from_flags
+        assert not (tmp_path / "ignored.csv").exists()
+
+    @pytest.mark.parametrize(
+        "keys,message",
+        [
+            ("n = 2\nd = 2\nq_linked = 0.5\noutptu = x.csv\n", "unknown config key 'outptu'"),
+            ("n = 2\nd = 2\nq1 = 0.1\nq2 = 0.2\nq_linked = 0.5\n", "mutually exclusive"),
+            ("n = 2\nd = 2\nq1 = 0.1\nq2 = 0.2\nq3 = 0.3\n", "expected 2 per-channel q lists, got 3"),
+            ("n = 2\nd = 2\nq1 = 0.1\nq3 = 0.3\n", "must be q1..qN, got q1, q3"),
+        ],
+        ids=["unknown-key", "both-q-kinds", "q3-at-n2", "missing-q2"],
+    )
+    def test_misconfiguration_is_a_usage_error(self, capsys, tmp_path, keys, message):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(keys)
+        code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.count("error:") == 1 and err.count("\n") == 1 and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.cfg"]
+
+
+def test_sweep_leaves_the_process_umask_alone(capsys, tmp_path, monkeypatch):
+    """Reading the umask by setting it would open a window in which other threads' files
+    are created world-writable."""
+
+    def no_umask(mask):
+        raise AssertionError("os.umask called during a sweep")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    out_path = tmp_path / "out.csv"
+    code, _, err = run(capsys, "sweep", "--n", "2", "--d", "2", "--q-linked", "0.5",
+                       "--out", str(out_path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out_path.exists()
+
+
 class TestProbabilityRule:
     """One rule for control probabilities, wherever they enter.
 

@@ -19,7 +19,6 @@ from qnswitch.errors import NumericalError, SizeLimitError
 from qnswitch.holevo import (
     EIGENVALUE_SLACK,
     _entropy_rows,
-    control_marginal,
     holevo_batch,
     holevo_information,
     min_output_entropy,
@@ -43,6 +42,11 @@ def entropy_of(probabilities):
 
 def two_channel_blocks(q1, q2, p, d):
     return closed_form_n2(q1, q2, ControlSpec(2, (p, 1.0 - p)), d)
+
+
+def control_marginal(sbm):
+    """The reduced control state: tracing a block a*I + b*rho over the target gives d*a + b."""
+    return sbm.d * sbm.a + sbm.b
 
 
 class TestVonNeumannEntropy:
@@ -512,27 +516,44 @@ class TestHolevoBatchArguments:
         with pytest.raises(ValueError, match=message):
             holevo_batch(2, 2, qs, [(0.5, 0.5), (0.2, 0.8), bad])
 
+    # Every entry point that takes d applies the one dimension rule.
+    TAKES_D = (
+        lambda d: holevo_batch(2, d, [(0.5, 0.5)], [(0.5, 0.5)]),
+        lambda d: holevo_information(2, d, (0.5, 0.5), (0.5, 0.5)),
+        lambda d: DepolarizingChannel(0.5, d),
+        weyl_basis,
+        lambda d: kraus_set(0.5, d),
+        lambda d: min_output_entropy_n2(0.5, 0.5, 0.5, d),
+        # a = 0 and a unit-trace b pass every block test at any d.
+        lambda d: SwitchBlockMatrix(n=2, d=d, a=np.zeros((2, 2)), b=np.eye(2) / 2),
+    )
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(SizeLimitError):
             holevo_batch(6, 2, [(0.5,) * 6], [(1.0 / 720,) * 720])
         with pytest.raises(ValueError):
             holevo_batch(0, 2, [()], [(1.0,)])
-        # Every entry point that takes d applies the one dimension rule.
-        for make in (
-            lambda d: holevo_batch(2, d, [(0.5, 0.5)], [(0.5, 0.5)]),
-            lambda d: DepolarizingChannel(0.5, d),
-            weyl_basis,
-            lambda d: kraus_set(0.5, d),
-            lambda d: min_output_entropy_n2(0.5, 0.5, 0.5, d),
-            # a = 0 and a unit-trace b pass every block test at any d.
-            lambda d: SwitchBlockMatrix(n=2, d=d, a=np.zeros((2, 2)), b=np.eye(2) / 2),
-        ):
+        for make in self.TAKES_D:
             for d in (1, 1.5, 2.5, math.nan, math.inf):
                 with pytest.raises(ValueError, match="dimension"):
                     make(d)
             for d in (10**400, MAX_DIMENSION + 1):
                 with pytest.raises(SizeLimitError, match="dimension"):
                     make(d)
+
+    @pytest.mark.parametrize("d", ["2", None, 2 + 0j], ids=["str", "None", "complex"])
+    def test_non_number_dimension_is_a_value_error(self, d):
+        # A d that cannot be compared with the cap is a ValueError, not a TypeError.
+        for make in self.TAKES_D:
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                make(d)
+
+    def test_float_dimension_with_an_integer_value_is_accepted(self):
+        assert DepolarizingChannel(0.5, 2.0).d == 2
+        assert type(DepolarizingChannel(0.5, 2.0).d) is int
+        for make in self.TAKES_D:
+            make(2.0)
+        assert len(kraus_set(0.5, 3.0)) == 10 and weyl_basis(3.0).d == 3
 
     @pytest.mark.parametrize("q", [1.2, -0.1, math.nan])
     def test_rejects_bad_transparency(self, q):

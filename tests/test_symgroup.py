@@ -106,6 +106,26 @@ class TestChannelCountRule:
             Permutation(image)
 
 
+class TestLabelIntegerRule:
+    """Order entries and subset members take the channel-count rule's integer test."""
+
+    @pytest.mark.parametrize("image", [(1.5, 2), (1, 2.0), ("1", 2), (np.float64(1.0), 2)])
+    def test_permutation_rejects_non_integers(self, image):
+        with pytest.raises(ValueError, match="order entries must be integers"):
+            Permutation(image)
+
+    @pytest.mark.parametrize("value", [1.7, 1.0, "1", np.float64(1.0)])
+    def test_zero_subset_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="members must be integers"):
+            ZeroSubset(2, (value,))
+
+    def test_numpy_integers_become_ints(self):
+        p = Permutation((np.int64(2), np.uint8(1)))
+        assert p.image == (2, 1) and all(type(v) is int for v in p.image)
+        z = ZeroSubset(2, (np.int8(1), np.int64(2)))
+        assert z.members == (1, 2) and all(type(v) is int for v in z.members)
+
+
 @given(st.integers(1, 6).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
 def test_inverse_round_trip(image):
     p = Permutation(tuple(image))
