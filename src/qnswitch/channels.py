@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from numbers import Real
 from typing import Sequence
 
@@ -143,15 +143,18 @@ class UnitaryBasis:
             raise ValueError("basis is not trace-orthogonal")
 
 
-@lru_cache(maxsize=None)
 def weyl_basis(d: int) -> UnitaryBasis:
-    """Heisenberg-Weyl basis {X(a)Z(b)} in row-major order over (a, b).
+    """Heisenberg-Weyl basis {X(a)Z(b)} in row-major order over (a, b), built once per d.
 
     X(a)|l> = |(l+a) mod d>, Z(b)|l> = omega^(b*l)|l> with omega = exp(2*pi*i/d)
     and no extra global phase. Index i in 1..d^2 maps to the pair
     (a, b) = ((i-1) div d, (i-1) mod d), so index 1 is X(0)Z(0) = I.
     """
-    d = _check_dimension(d)
+    return _weyl_basis(_check_dimension(d))  # checked first: the cache hashes its key
+
+
+@cache
+def _weyl_basis(d: int) -> UnitaryBasis:
     omega = np.exp(2j * np.pi / d)
     shift = np.zeros((d, d), dtype=complex)
     for l in range(d):

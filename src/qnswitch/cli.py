@@ -204,8 +204,10 @@ def _read_config(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key in values:
+                    raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+                values[key] = value
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values

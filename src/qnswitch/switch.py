@@ -418,8 +418,14 @@ def realize(sbm: SwitchBlockMatrix, rho: DensityMatrix) -> np.ndarray:
     """
     if rho.d != sbm.d:
         raise ValueError(f"state dimension {rho.d} != block dimension {sbm.d}")
-    eye = np.eye(sbm.d, dtype=complex)
-    return np.kron(sbm.a, eye) + np.kron(sbm.b, rho.entries)
+    return _realize(np.stack([sbm.a, sbm.b])[None], rho.entries[None])[0]
+
+
+def _realize(blocks: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Dense outputs [G, n! d, n! d] of blocks [G, 2, n!, n!] at rhos [G, d, d], kron's bits."""
+    a, b = blocks[:, 0, :, None, :, None], blocks[:, 1, :, None, :, None]
+    dense = a * np.eye(rhos.shape[-1], dtype=complex)[:, None] + b * rhos[:, None, :, None]
+    return dense.reshape(len(blocks), dense.shape[1] * dense.shape[2], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ pi_5 = (3,1,2), pi_6 = (3,2,1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from numbers import Integral
 from typing import Sequence, TypeVar
@@ -21,6 +22,9 @@ from .errors import SizeLimitError
 MAX_ORDER_CHANNELS = 8
 
 T = TypeVar("T")
+# The builds behind enumerate_orders and zero_subsets, once per process.
+_orders = cache(lambda n: tuple(map(Permutation, permutations(range(1, n + 1)))))
+_subsets = cache(lambda n, z: tuple(ZeroSubset(n, m) for m in combinations(range(1, n + 1), z)))
 
 
 @dataclass(frozen=True)
@@ -76,13 +80,13 @@ def _integers(values: Sequence, what: str) -> tuple[int, ...]:
     return tuple(map(int, values))
 
 
-def enumerate_orders(n: int) -> list[Permutation]:
-    """All n! causal orders on n channels, in lexicographic order.
+def enumerate_orders(n: int) -> tuple[Permutation, ...]:
+    """All n! causal orders on n channels, in lexicographic order, built once per process.
 
-    The list index + 1 equals each order's label k.
+    The tuple index + 1 equals each order's label k.
     """
-    _check_channel_count(n)
-    return [Permutation(img) for img in permutations(range(1, n + 1))]
+    _check_channel_count(n)  # before the cache, which would take 2.0 for 2
+    return _orders(int(n))
 
 
 def apply_order(p: Permutation, factors: Sequence[T]) -> list[T]:
@@ -115,9 +119,10 @@ class ZeroSubset:
             raise ValueError(f"members must lie in 1..{self.n}: {self.members}")
 
 
-def zero_subsets(n: int, z: int) -> list[ZeroSubset]:
-    """All C(n, z) size-z subsets of {1..n}, in lexicographic order."""
+def zero_subsets(n: int, z: int) -> tuple[ZeroSubset, ...]:
+    """All C(n, z) size-z subsets of {1..n}, in lexicographic order, built once per process."""
     _check_channel_count(n)
+    (z,) = _integers((z,), "subset sizes")  # and 1.0 for 1
     if not 0 <= z <= n:
         raise ValueError(f"subset size must be in 0..{n}, got z={z}")
-    return [ZeroSubset(n, members) for members in combinations(range(1, n + 1), z)]
+    return _subsets(int(n), z)

@@ -3,9 +3,8 @@
 Each suite exercises one exact identity or cross-check at small sizes and
 reports pass/fail with a short detail string. The expected contraction
 tables for two and three channels are frozen here; they double as
-regression data for the test suite. The N = 2 entropy suite evaluates each
-d's points as one checked stack of closed-form blocks through the shared
-spectral stage.
+regression data for the test suite. Each (n, d)'s oracle points and each d's N = 2
+entropy points are one checked stack; only the brute-force sum runs per point.
 """
 
 from __future__ import annotations
@@ -168,13 +167,17 @@ def check_switch_completeness(rng: np.random.Generator) -> CheckResult:
 def check_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for n, d in product((2, 3), (2, 3)):
+        points = []
         for _ in range(3):
             chans = [ch.DepolarizingChannel(q, d) for q in rng.uniform(size=n)]
             ctrl = sw.ControlSpec(n, tuple(rng.dirichlet(np.ones(math.factorial(n)))))
-            rho = ch.random_density(d, rng)
-            dense = sw.realize(sw.assemble_blocks(chans, ctrl), rho)
-            reference = sw.kraus_sum_output(chans, ctrl, rho)
-            worst = max(worst, np.abs(dense - reference).max())
+            points.append((chans, ctrl, ch.random_density(d, rng)))
+        chan_sets, ctrls, rhos = zip(*points)  # the blocks: the 3 x 3 q-by-P grid's diagonal
+        q = np.array([[c.q for c in chans] for chans in chan_sets])
+        blocks = sw._switch_blocks(n, d, q, np.array([c.probs for c in ctrls]))[::4]
+        sw._check_blocks(d, blocks)
+        for out, point in zip(sw._realize(blocks, np.array([r.entries for r in rhos])), points):
+            worst = max(worst, np.abs(out - sw.kraus_sum_output(*point)).max())
     return _result("assembled blocks vs brute-force sum", worst, 1e-10)
 
 
@@ -208,17 +211,14 @@ def check_closed_forms(rng: np.random.Generator) -> CheckResult:
 def check_min_entropy_consistency(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     grid = np.linspace(0.0, 1.0, 5)
-    points = list(product(grid, grid, (0.2, 0.5, 0.9)))
-    q = np.array([point[:2] for point in points])
-    probs = np.array([(p, 1.0 - p) for _, _, p in points])
-    ch._check_transparencies(q)
-    sw._check_probabilities(probs, 2)
+    q1, q2, p = np.array(list(product(grid, grid, (0.2, 0.5, 0.9)))).T
+    ch._check_transparencies((q1, q2))
+    sw._check_probabilities(np.stack([p, 1.0 - p], axis=1), 2)
     for d in (2, 3):
-        blocks = sw._closed_form_n2_blocks(*q.T, *probs.T, d)
+        blocks = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, d)
         sw._check_blocks(d, blocks)
         h_min, _ = hv._block_entropies(d, blocks)
-        for generic, (q1, q2, p) in zip(h_min.tolist(), points):
-            worst = max(worst, abs(generic - hv.min_output_entropy_n2(q1, q2, p, d)))
+        worst = max(worst, np.abs(h_min - hv._min_output_entropy_n2(q1, q2, p, d)).max())
     return _result("closed-form vs eigensolver entropy", worst, 1e-10)
 
 

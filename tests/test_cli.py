@@ -466,8 +466,9 @@ class TestConfigFile:
             ("n = 2\nd = 2\nq1 = 0.1\nq2 = 0.2\nq_linked = 0.5\n", "mutually exclusive"),
             ("n = 2\nd = 2\nq1 = 0.1\nq2 = 0.2\nq3 = 0.3\n", "expected 2 per-channel q lists, got 3"),
             ("n = 2\nd = 2\nq1 = 0.1\nq3 = 0.3\n", "must be q1..qN, got q1, q3"),
+            ("n = 2\nd = 2\nq_linked = 0.5\nn = 3\n", "sweep.cfg:4: duplicate key 'n'"),
         ],
-        ids=["unknown-key", "both-q-kinds", "q3-at-n2", "missing-q2"],
+        ids=["unknown-key", "both-q-kinds", "q3-at-n2", "missing-q2", "duplicate-key"],
     )
     def test_misconfiguration_is_a_usage_error(self, capsys, tmp_path, keys, message):
         cfg = tmp_path / "sweep.cfg"
@@ -781,6 +782,12 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "FAIL" not in out
 
+    def test_repeated_run_gives_equal_results(self):
+        # Orders and subsets are built once per process; no check result is kept.
+        from qnswitch.verify import run_verification
+
+        assert run_verification(42) == run_verification(42)
+
     def test_injected_fault(self, capsys, monkeypatch):
         import qnswitch.cli as cli
         from qnswitch.verify import CheckResult
@@ -818,12 +825,24 @@ class TestVerifyGatesTheSweepStages:
         import qnswitch.switch as sw
 
         def scale_one_pair(blocks):
-            blocks[:, 0, 0, 1] *= 1.0 + 1e-9  # one off-diagonal a pair, kept symmetric
-            blocks[:, 0, 1, 0] *= 1.0 + 1e-9
+            # One off-diagonal a pair, kept symmetric; shrunk, so every point stays positive,
+            # and by more than the brute-force check's 1e-10 tolerance.
+            blocks[:, 0, 0, 1] *= 1.0 - 1e-6
+            blocks[:, 0, 1, 0] *= 1.0 - 1e-6
             return blocks
 
         failed = self.failed(monkeypatch, sw, "_switch_blocks", scale_one_pair)
-        assert "closed forms vs assembly" in failed
+        assert {"closed forms vs assembly", "assembled blocks vs brute-force sum"} <= failed
+
+    def test_realized_output(self, monkeypatch):
+        import qnswitch.switch as sw
+
+        def shift_one_entry(dense):
+            dense[:, 0, 0] += 1e-9
+            return dense
+
+        failed = self.failed(monkeypatch, sw, "_realize", shift_one_entry)
+        assert "assembled blocks vs brute-force sum" in failed
 
     def test_two_channel_closed_form_stage(self, monkeypatch):
         import qnswitch.switch as sw

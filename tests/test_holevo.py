@@ -19,6 +19,7 @@ from qnswitch.errors import NumericalError, SizeLimitError
 from qnswitch.holevo import (
     EIGENVALUE_SLACK,
     _entropy_rows,
+    _min_output_entropy_n2,
     holevo_batch,
     holevo_information,
     min_output_entropy,
@@ -223,6 +224,37 @@ class TestMinOutputEntropyClosedForm:
             min_output_entropy_n2(1.2, 0.5, 0.5, 2)
         with pytest.raises(ValueError):
             min_output_entropy_n2(0.5, 0.5, 0.5, 1)
+
+
+def scalar_min_output_entropy_n2(q1, q2, p, d):
+    """The scalar expansion of ``min_output_entropy_n2``, with math.sqrt and math.log2."""
+    p1, p2 = 1.0 - q1, 1.0 - q2
+    acc = 0.0
+    for k in (0, 1):
+        alpha = (1.0 - q1 * q2) / d + k * q1 * q2
+        beta = (p1 * q2 + q1 * p2) / d + k * (p1 * p2 / d**2 + q1 * q2)
+        disc = math.sqrt(p * (1.0 - p) * beta**2 + alpha**2 * (p - 0.5) ** 2)
+        for s in (1.0, -1.0):
+            lam = alpha / 2.0 + s * disc
+            if lam > 0.0:
+                acc -= (d - 1) ** (1 - k) * lam * math.log2(lam)
+    return acc
+
+
+_UNIT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=1, max_size=8),
+       d=st.integers(2, 6))
+def test_two_channel_entropy_kernel_is_the_per_point_call(points, d):
+    # np.log2 and math.log2 differ by an ulp on a few inputs, so the scalar
+    # expansion is matched within 1e-14 and the per-point call bitwise.
+    stack = _min_output_entropy_n2(*np.array(points).T, d)
+    single = np.array([min_output_entropy_n2(*point, d) for point in points])
+    assert stack.tobytes() == single.tobytes()
+    for value, point in zip(stack.tolist(), points):
+        assert abs(value - scalar_min_output_entropy_n2(*point, d)) <= 1e-14
 
 
 class TestHolevoInformation:
@@ -541,9 +573,12 @@ class TestHolevoBatchArguments:
                 with pytest.raises(SizeLimitError, match="dimension"):
                     make(d)
 
-    @pytest.mark.parametrize("d", ["2", None, 2 + 0j], ids=["str", "None", "complex"])
+    @pytest.mark.parametrize(
+        "d", ["2", None, 2 + 0j, [2]], ids=["str", "None", "complex", "list"]
+    )
     def test_non_number_dimension_is_a_value_error(self, d):
-        # A d that cannot be compared with the cap is a ValueError, not a TypeError.
+        # A d that cannot be compared with the cap is a ValueError, not a TypeError,
+        # and the rule runs before weyl_basis's cache hashes d.
         for make in self.TAKES_D:
             with pytest.raises(ValueError, match="dimension must be an integer"):
                 make(d)
@@ -554,6 +589,7 @@ class TestHolevoBatchArguments:
         for make in self.TAKES_D:
             make(2.0)
         assert len(kraus_set(0.5, 3.0)) == 10 and weyl_basis(3.0).d == 3
+        assert weyl_basis(2.0) is weyl_basis(2)
 
     @pytest.mark.parametrize("q", [1.2, -0.1, math.nan])
     def test_rejects_bad_transparency(self, q):

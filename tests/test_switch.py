@@ -372,6 +372,24 @@ def test_two_channel_kernel_is_bitwise_the_scalar_expansion(points, d):
         assert np.stack([single.a, single.b]).tobytes() == reference.tobytes()
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 3), d=st.integers(2, 4), g=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_realize_is_bitwise_kron(n, d, g, seed):
+    rng = np.random.default_rng(seed)
+    nf = math.factorial(n)
+    blocks = rng.uniform(size=(g, 2, nf, nf))
+    blocks[rng.uniform(size=blocks.shape) < 0.3] = 0.0  # exact zeros meet rho's zeros
+    rhos = np.stack([random_density(d, rng).entries for _ in range(g)])
+    dense = sw._realize(blocks, rhos)
+    assert dense.shape == (g, nf * d, nf * d)
+    for out, (a, b), rho in zip(dense, blocks, rhos):
+        want = np.kron(a, np.eye(d, dtype=complex)) + np.kron(b, rho)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+
 class TestRealize:
     def test_maximally_mixed_target(self, rng):
         d = 3

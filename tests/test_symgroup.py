@@ -62,6 +62,26 @@ class TestEnumerateOrders:
         assert [p.label for p in orders] == [inversion_rank(p.image) for p in orders]
 
 
+class TestBuiltOncePerProcess:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_tuple_on_every_call(self, n):
+        orders = enumerate_orders(n)
+        assert type(orders) is tuple and enumerate_orders(n) is orders
+        assert enumerate_orders(np.int64(n)) is orders
+        for z in range(n + 1):
+            subsets = zero_subsets(n, z)
+            assert type(subsets) is tuple and zero_subsets(n, z) is subsets
+
+    def test_rules_run_before_the_cache(self):
+        # 2.0 and 1.0 hash like 2 and 1, so a cache in front of the rules would take them.
+        enumerate_orders(2), zero_subsets(2, 1)
+        for make in (enumerate_orders, lambda n: zero_subsets(n, 1)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make(2.0)
+        with pytest.raises(ValueError, match="subset sizes must be integers"):
+            zero_subsets(2, 1.0)
+
+
 class TestApplyOrder:
     def test_cycle(self):
         pi4 = Permutation((2, 3, 1))
