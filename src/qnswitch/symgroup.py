@@ -22,9 +22,6 @@ from .errors import SizeLimitError
 MAX_ORDER_CHANNELS = 8
 
 T = TypeVar("T")
-# The builds behind enumerate_orders and zero_subsets, once per process.
-_orders = cache(lambda n: tuple(map(Permutation, permutations(range(1, n + 1)))))
-_subsets = cache(lambda n, z: tuple(ZeroSubset(n, m) for m in combinations(range(1, n + 1), z)))
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,15 @@ def _integers(values: Sequence, what: str) -> tuple[int, ...]:
     return tuple(map(int, values))
 
 
-def enumerate_orders(n: int) -> tuple[Permutation, ...]:
-    """All n! causal orders on n channels, in lexicographic order, built once per process.
+@cache
+def _orders(n: int) -> tuple[Permutation, ...]:
+    return tuple(map(Permutation, permutations(range(1, n + 1))))
 
-    The tuple index + 1 equals each order's label k.
+
+def enumerate_orders(n: int) -> tuple[Permutation, ...]:
+    """All n! causal orders on n channels, in lexicographic order.
+
+    The tuple index + 1 equals each order's label k. Built once per process per n.
     """
     _check_channel_count(n)  # before the cache, which would take 2.0 for 2
     return _orders(int(n))
@@ -119,8 +121,13 @@ class ZeroSubset:
             raise ValueError(f"members must lie in 1..{self.n}: {self.members}")
 
 
+@cache
+def _subsets(n: int, z: int) -> tuple[ZeroSubset, ...]:
+    return tuple(ZeroSubset(n, members) for members in combinations(range(1, n + 1), z))
+
+
 def zero_subsets(n: int, z: int) -> tuple[ZeroSubset, ...]:
-    """All C(n, z) size-z subsets of {1..n}, in lexicographic order, built once per process."""
+    """All C(n, z) size-z subsets of {1..n}, in lexicographic order; cached as enumerate_orders."""
     _check_channel_count(n)
     (z,) = _integers((z,), "subset sizes")  # and 1.0 for 1
     if not 0 <= z <= n:

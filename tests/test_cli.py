@@ -821,17 +821,27 @@ class TestVerifyGatesTheSweepStages:
         )
         assert "closed-form vs eigensolver entropy" in failed
 
+    @staticmethod
+    def scale_one_pair(factor):
+        def scale(blocks):
+            blocks[:, 0, 0, 1] *= factor  # one off-diagonal a pair, kept symmetric
+            blocks[:, 0, 1, 0] *= factor
+            return blocks
+
+        return scale
+
     def test_block_stage(self, monkeypatch):
         import qnswitch.switch as sw
 
-        def scale_one_pair(blocks):
-            # One off-diagonal a pair, kept symmetric; shrunk, so every point stays positive,
-            # and by more than the brute-force check's 1e-10 tolerance.
-            blocks[:, 0, 0, 1] *= 1.0 - 1e-6
-            blocks[:, 0, 1, 0] *= 1.0 - 1e-6
-            return blocks
+        failed = self.failed(monkeypatch, sw, "_switch_blocks", self.scale_one_pair(1.0 + 1e-9))
+        assert "closed forms vs assembly" in failed
 
-        failed = self.failed(monkeypatch, sw, "_switch_blocks", scale_one_pair)
+    def test_block_stage_beyond_oracle_tolerance(self, monkeypatch):
+        import qnswitch.switch as sw
+
+        # Shrunk, so every point stays positive, and by more than the brute-force
+        # check's 1e-10 tolerance.
+        failed = self.failed(monkeypatch, sw, "_switch_blocks", self.scale_one_pair(1.0 - 1e-6))
         assert {"closed forms vs assembly", "assembled blocks vs brute-force sum"} <= failed
 
     def test_realized_output(self, monkeypatch):
@@ -847,13 +857,10 @@ class TestVerifyGatesTheSweepStages:
     def test_two_channel_closed_form_stage(self, monkeypatch):
         import qnswitch.switch as sw
 
-        def scale_one_pair(blocks):
-            # One off-diagonal a pair, kept symmetric; shrunk, so every point stays positive.
-            blocks[:, 0, 0, 1] *= 1.0 - 1e-6
-            blocks[:, 0, 1, 0] *= 1.0 - 1e-6
-            return blocks
-
-        failed = self.failed(monkeypatch, sw, "_closed_form_n2_blocks", scale_one_pair)
+        # Shrunk, so every point stays positive.
+        failed = self.failed(
+            monkeypatch, sw, "_closed_form_n2_blocks", self.scale_one_pair(1.0 - 1e-6)
+        )
         assert {"closed forms vs assembly", "closed-form vs eigensolver entropy"} <= failed
 
 
