@@ -19,8 +19,8 @@ a*I + b*rho with nonnegative coefficients. The module provides
   distinct column, gathers the exact blocks and weights them by sqrt(P_k P_k'),
 * hand-expanded closed forms for N = 2 and N = 3,
 * a brute-force reference (``kraus_sum_output``) that sums the generalized
-  Kraus operators over at most TUPLE_BUDGET index tuples, one Gram product of the
-  stacked order products per chunk, to cross-check the analytic path.
+  Kraus operators over at most TUPLE_BUDGET (order, index tuple) pairs, one Gram
+  product of the stacked order products per chunk, to cross-check the analytic path.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from .channels import (
 )
 from .errors import SizeLimitError
 from .symgroup import (
-    ZeroSubset, _check_channel_count, apply_order, enumerate_orders, zero_subsets
+    ZeroSubset, _check_channel_count, _ranks, apply_order, enumerate_orders, zero_subsets
 )
 
-# Hard caps: the brute-force sums run over (d^2+1)^n index tuples, the block
-# assembly over n!^2 causal-order pairs.
+# Hard caps: the brute-force sums multiply out n! (d^2+1)^n (order, index
+# tuple) pairs, the block assembly runs over n!^2 causal-order pairs.
 TUPLE_BUDGET = 1_000_000
 MAX_ASSEMBLE_CHANNELS = 5
 # Complex entries (4 MB) per chunk of the brute-force sums' order products.
@@ -201,10 +201,6 @@ def _loop_rule(left: Sequence[int], right: Sequence[int]) -> tuple[bool, int]:
     return find(0) == find(2 * m + 1), m + loops
 
 
-def _restrict(order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(slot for slot in order if slot not in pinned)
-
-
 class ContractionTable(NamedTuple):
     """Every contraction of n channels as read-only distinct columns.
 
@@ -230,24 +226,27 @@ def _relative_code(relative: tuple[int, ...]) -> int:
 
 @functools.cache
 def contraction_table(n: int) -> ContractionTable:
-    """The contraction table of n channels, built on first use.
+    """The contraction table of n <= MAX_ASSEMBLE_CHANNELS channels, built on first use.
 
-    Contractions depend only on (n, k, k', A_z), never on q, P or d.
+    Contractions depend only on (n, k, k', A_z), never on q, P or d. Channels are
+    dummy labels, so code(k, k', A_z) = code(1, tau, pi_k^-1(A_z)), tau = pi_k^-1 pi_k':
+    one base row per set of pinned places, gathered by the rank of tau.
     """
-    orders = [p.image for p in enumerate_orders(n)]
+    _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)  # the table grows as 2^n n!^2
+    perms = np.array([p.image for p in enumerate_orders(n)]) - 1
+    taus = perms.tolist()  # order t is the tau of rank t
     subsets = tuple(zs.members for z in range(n + 1) for zs in zero_subsets(n, z))
+    base = np.empty((len(perms), 2**n), dtype=np.int8)  # [rank of tau, mask of pinned places]
+    for mask in range(2**n):
+        live = {p: i for i, p in enumerate(p for p in range(n) if not mask >> p & 1)}
+        base[:, mask] = [_relative_code(tuple(live[p] for p in tau if p in live)) for tau in taus]
+    place = np.argsort(perms, axis=1)  # place[k][c]: the position of channel c in order k
+    pinned = np.array([[j in members for j in range(1, n + 1)] for members in subsets])
+    masks = pinned @ (1 << place).T  # [subset, k]: its channels' places in order k
     # Pair (k, k')'s codes over the subsets lie contiguous at codes[k - 1, k' - 1].
-    codes = np.empty((len(orders), len(orders), len(subsets)), dtype=np.int8)
-    for s, members in enumerate(subsets):
-        words: dict[tuple[int, ...], int] = {}
-        pick = np.array([words.setdefault(_restrict(o, members), len(words)) for o in orders])
-        # Slots are dummy labels, so a word pair's value depends only on
-        # the order of the right word relative to the left one.
-        distinct = np.array(
-            [[_relative_code(tuple(map(u.index, v))) for v in words] for u in words],
-            dtype=np.int8,
-        )
-        codes[:, :, s] = distinct[pick[:, None], pick[None, :]]
+    codes = np.empty((len(perms), len(perms), len(subsets)), dtype=np.int8)
+    for k in range(len(perms)):  # row by row: a one-shot gather peaks higher
+        codes[k] = base[_ranks(place[k][perms])[:, None], masks[:, k]]
     # Pairs (k, k') whose codes over the subsets match share one column.
     columns: dict[bytes, int] = {}
     keys = codes.view(np.dtype((np.void, len(subsets)))).ravel().tolist()
@@ -298,9 +297,8 @@ def _switch_blocks(n: int, d: int, q: np.ndarray, probs: np.ndarray) -> np.ndarr
     scale = powers[table.power]
     split = np.stack([scale * table.identity, scale * ~table.identity], axis=1)
     sums = np.zeros((len(q),) + split.shape[1:])
-    for column, terms, live in zip(weight.T[:, :, None, None], split, weight.any(axis=0).tolist()):
-        if live:  # a subset with weight 0 at every point would add +0.0
-            sums += column * terms
+    for column, terms in zip(weight.T[:, :, None, None], split):
+        sums += column * terms
     # Sums copied per control, then gathered: a broadcast density product page-faults each call.
     blocks = np.take(np.repeat(sums, len(probs), axis=0), table.column, axis=2)
     amps = np.tile(np.sqrt(probs), (len(q), 1))[:, None]
@@ -436,7 +434,7 @@ def _realize(blocks: np.ndarray, rhos: np.ndarray) -> np.ndarray:
 def _order_products(
     channels: Sequence[DepolarizingChannel],
 ) -> tuple[int, int, int, Iterator[np.ndarray]]:
-    """(n, d, n!, chunks) for at most TUPLE_BUDGET index tuples t.
+    """(n, d, n!, chunks) for at most TUPLE_BUDGET (order, index tuple t) pairs.
 
     A chunk is a new [n!, d, T*d] array, K_pi[t][a, b] at row a, column (t, b), t
     row-major over (t_1..t_n): slots 1..g run jointly over consecutive
@@ -445,14 +443,14 @@ def _order_products(
     back in slot order.
     """
     n, d = _channel_list(channels)
-    m = d * d + 1
-    if m**n > TUPLE_BUDGET:
+    m, nf = d * d + 1, math.factorial(n)
+    if nf * m**n > TUPLE_BUDGET:
         raise SizeLimitError(
-            f"brute-force sum needs {m**n} index tuples, budget is {TUPLE_BUDGET}"
+            f"brute-force sum needs {nf} orders x {m**n} index tuples, budget {TUPLE_BUDGET}"
         )
     kraus = [np.array(kraus_set(ch.q, d)) for ch in channels]
     orders = [apply_order(p, list(range(n))) for p in enumerate_orders(n)]
-    per_tuple = len(orders) * d * d
+    per_tuple = nf * d * d
     g = next((g for g in range(1, n) if per_tuple * m ** (n - g) <= CHUNK_ENTRIES), n)
     step = max(1, CHUNK_ENTRIES // (per_tuple * m ** (n - g)))
     # A free slot's stack as [d, (t, c)]: a product's rows gain its axis.
@@ -462,7 +460,7 @@ def _order_products(
         for lo in range(0, m**g, step):
             joint = np.unravel_index(np.arange(lo, min(lo + step, m**g)), (m,) * g)
             factors = [kraus[j][joint[j]] for j in range(g)] + free
-            ops = np.empty((len(orders), d, len(joint[0]) * m ** (n - g) * d), dtype=complex)
+            ops = np.empty((nf, d, len(joint[0]) * m ** (n - g) * d), dtype=complex)
             for k, seq in enumerate(orders):
                 acc = np.eye(d, dtype=complex)[None]
                 for j in seq:
@@ -473,7 +471,7 @@ def _order_products(
                 ops[k] = acc.transpose(1, 0, *tuple_axes, n - g + 2).reshape(d, -1)
             yield ops
 
-    return n, d, len(orders), chunks()
+    return n, d, nf, chunks()
 
 
 def kraus_sum_output(
@@ -481,12 +479,12 @@ def kraus_sum_output(
 ) -> np.ndarray:
     """Switch output by direct summation of the generalized Kraus operators.
 
-    Sums W (rho tensor rho_c) W^dag over all (d^2+1)^n <= TUPLE_BUDGET index
-    tuples, where W places K_{pi_k} on control block k. Each chunk's order
-    products K, as [n! d, T d], add the Gram product (K rho) K^dag, already
-    in the output's (k, a), (k', a') layout; the control amplitudes weight
-    the sum. No analytic grouping is used: this is the independent
-    reference for ``assemble_blocks``.
+    Sums W (rho tensor rho_c) W^dag over all (d^2+1)^n index tuples, with
+    n! (d^2+1)^n <= TUPLE_BUDGET, where W places K_{pi_k} on control block k.
+    Each chunk's order products K, as [n! d, T d], add the Gram product
+    (K rho) K^dag, already in the output's (k, a), (k', a') layout; the
+    control amplitudes weight the sum. No analytic grouping is used: this is
+    the independent reference for ``assemble_blocks``.
     """
     n, d, nf, chunks = _order_products(channels)
     if ctrl.n != n:

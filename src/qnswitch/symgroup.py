@@ -9,11 +9,14 @@ pi_5 = (3,1,2), pi_6 = (3,2,1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 from numbers import Integral
 from typing import Sequence, TypeVar
+
+import numpy as np
 
 from .errors import SizeLimitError
 
@@ -43,21 +46,21 @@ class Permutation:
 
     @property
     def label(self) -> int:
-        """1-based rank in lexicographic order: 1 + the Lehmer code, whose digit j
-        (weight (n-1-j)!) is image[j]'s index among the values still unused."""
-        unused = list(range(1, self.n + 1))
-        rank = 0
-        for v in self.image:
-            j = unused.index(v)
-            rank = rank * len(unused) + j
-            del unused[j]
-        return rank + 1
+        """1-based rank in lexicographic order."""
+        return int(_ranks(np.array(self.image))) + 1
 
     def inverse(self) -> Permutation:
         inv = [0] * self.n
         for j, v in enumerate(self.image):
             inv[v - 1] = j + 1
         return Permutation(tuple(inv))
+
+
+def _ranks(images: np.ndarray) -> np.ndarray:
+    """0-based lexicographic ranks of a stack [..., n] of permutations, by the Lehmer
+    code: digit j counts the later entries below entry j and weighs (n-1-j)!."""
+    digits = np.triu(images[..., :, None] > images[..., None, :], 1).sum(axis=-1)
+    return digits @ [math.factorial(j) for j in reversed(range(images.shape[-1]))]
 
 
 def _check_channel_count(n: int, cap: int = MAX_ORDER_CHANNELS) -> None:

@@ -18,11 +18,10 @@ import numpy as np
 from . import channels as ch
 from . import holevo as hv
 from . import switch as sw
-from .symgroup import ZeroSubset, apply_order, enumerate_orders, zero_subsets
+from .symgroup import ZeroSubset, _ranks, apply_order, enumerate_orders, zero_subsets
 
 # ---------------------------------------------------------------------------
 # Frozen contraction tables: zero-subset members -> {(k, k'): (word is I, power)}.
-# A missing pair map entry means the value applies to all n!^2 pairs.
 # ---------------------------------------------------------------------------
 
 _I, _R = True, False
@@ -111,10 +110,9 @@ def _result(name, dev, tol) -> CheckResult:
 def check_causal_orders(rng: np.random.Generator) -> CheckResult:
     enumerated = {n: enumerate_orders(n) for n in range(1, 7)}
     for n, orders in enumerated.items():
-        if len({p.image for p in orders}) != math.factorial(n):
-            return CheckResult("causal orders", False, f"n={n}: enumeration not distinct")
-        if [p.label for p in orders] != list(range(1, math.factorial(n) + 1)):
-            return CheckResult("causal orders", False, f"n={n}: labels out of order")
+        ranks = _ranks(np.array([p.image for p in orders]))  # the labels less 1
+        if not np.array_equal(ranks, np.arange(math.factorial(n))):  # so n! distinct orders
+            return CheckResult("causal orders", False, f"n={n}: orders not ranked 0..n!-1")
         if sum(len(zero_subsets(n, z)) for z in range(n + 1)) != 2**n:
             return CheckResult("causal orders", False, f"n={n}: subset count != 2^n")
     for _ in range(50):

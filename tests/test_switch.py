@@ -26,11 +26,14 @@ from qnswitch.switch import (
     kraus_sum_output,
     realize,
     _loop_rule,
-    _restrict,
 )
 from qnswitch.holevo import holevo_batch, holevo_information
 from qnswitch.symgroup import Permutation, ZeroSubset, enumerate_orders, zero_subsets
 from qnswitch.verify import CONTRACTION_TABLE_N2, CONTRACTION_TABLE_N3
+
+
+def _restrict(order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(slot for slot in order if slot not in pinned)
 
 
 def channels_for(qs, d):
@@ -477,6 +480,15 @@ class TestKrausSumOutput:
                 channels_for([0.5] * 5, 4), ControlSpec.uniform(5), random_density(4, rng)
             )
 
+    def test_budget_counts_every_order(self, rng, monkeypatch):
+        # N = 7, d = 2 has only 5^7 = 78,125 index tuples, but each is multiplied
+        # out for all 5,040 orders into a (5040 d)^2 output: 393,750,000 pairs.
+        monkeypatch.setattr(sw, "kraus_set", None)
+        with pytest.raises(SizeLimitError, match="5040 orders x 78125 index tuples"):
+            kraus_sum_output(
+                channels_for([0.5] * 7, 2), ControlSpec.uniform(7), random_density(2, rng)
+            )
+
     @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2)])
     def test_matches_assembled_blocks_beyond_frozen_tables(self, n, d):
         # The frozen contraction tables stop at three channels; beyond them
@@ -548,6 +560,29 @@ class TestContractionTable:
                 column = table.column[k - 1, kp - 1]
                 assert (table.identity[s, column], table.power[s, column]) == expected
                 assert contract_pair(k, kp, zeros) == expected
+
+    def test_sampled_entries_beyond_four_channels(self):
+        # The table reads each entry from one base row through the relabeling
+        # code(k, k', A) = code(1, tau, pi_k^-1(A)); sampled entries at N = 5 are
+        # checked against the loop rule on the two restricted words themselves.
+        n, rng = 5, np.random.default_rng(5)
+        table = contraction_table(n)
+        orders = [p.image for p in enumerate_orders(n)]
+        for _ in range(200):
+            k, kp = rng.integers(len(orders), size=2)
+            s = int(rng.integers(len(table.subsets)))
+            words = (_restrict(orders[label], table.subsets[s]) for label in (k, kp))
+            column = table.column[k, kp]
+            assert (table.identity[s, column], table.power[s, column]) == _loop_rule(*words)
+
+    def test_refuses_more_channels_before_any_work(self, monkeypatch):
+        # The cap applies inside the cached builder itself, not only in its callers.
+        def fail(relative):
+            raise AssertionError("a contraction was evaluated")
+
+        monkeypatch.setattr(sw, "_relative_code", fail)
+        with pytest.raises(SizeLimitError, match="1..5 channels, got n=6"):
+            contraction_table(6)
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 8), (4, 64), (5, 1012)])
     def test_distinct_columns_rebuild_the_table(self, n, count):

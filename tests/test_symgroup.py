@@ -9,6 +9,7 @@ from qnswitch.symgroup import (
     Permutation,
     ZeroSubset,
     _check_channel_count,
+    _ranks,
     apply_order,
     enumerate_orders,
     zero_subsets,
@@ -151,6 +152,31 @@ def test_inverse_round_trip(image):
     p = Permutation(tuple(image))
     seq = list(range(100, 100 + p.n))
     assert apply_order(p, apply_order(p.inverse(), seq)) == seq
+
+
+def _label_loop(image):
+    """The reference rank: the Lehmer code digit by digit, each image[j]'s
+    index among the values still unused (the loop Permutation.label once ran)."""
+    unused = list(range(1, len(image) + 1))
+    rank = 0
+    for v in image:
+        j = unused.index(v)
+        rank = rank * len(unused) + j
+        del unused[j]
+    return rank + 1
+
+
+class TestRanks:
+    @given(st.integers(1, 8).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+    def test_matches_the_digit_loop(self, image):
+        assert int(_ranks(np.array(image))) + 1 == _label_loop(image)
+        assert Permutation(tuple(image)).label == _label_loop(image)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_enumeration_is_ranked_in_order(self, n):
+        stack = np.array(images(n))
+        assert np.array_equal(_ranks(stack), np.arange(math.factorial(n)))
+        assert np.array_equal(_ranks(stack[None] - 1), np.arange(math.factorial(n))[None])
 
 
 class TestZeroSubsets:
