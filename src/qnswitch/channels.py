@@ -26,6 +26,8 @@ PSD_TOL = 1e-10
 
 # Hard cap on d: an N = 5 point's output spectrum (n!*d floats) stays at 3.9 M.
 MAX_DIMENSION = 1 << 15
+# Hard cap on d where a unitary basis is built: d^4 complex entries, 16 MB at 32.
+MAX_BASIS_DIMENSION = 32
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -150,7 +152,10 @@ def weyl_basis(d: int) -> UnitaryBasis:
     and no extra global phase. Index i in 1..d^2 maps to the pair
     (a, b) = ((i-1) div d, (i-1) mod d), so index 1 is X(0)Z(0) = I.
     """
-    return _weyl_basis(_check_dimension(d))  # checked first: the cache hashes its key
+    d = _check_dimension(d)  # checked first: the cache hashes its key
+    if d > MAX_BASIS_DIMENSION:
+        raise SizeLimitError(f"a basis needs dimension at most {MAX_BASIS_DIMENSION}, got {d}")
+    return _weyl_basis(d)
 
 
 @cache
@@ -184,9 +189,9 @@ def kraus_set(q: float, d: int) -> list[np.ndarray]:
     unitaries. The set satisfies sum_i K_i^dag K_i = I.
     """
     _check_transparencies(q)
-    d = _check_dimension(d)
-    scale = np.sqrt(1.0 - q) / d
-    return [np.sqrt(q) * np.eye(d, dtype=complex)] + [scale * u for u in weyl_basis(d).elements]
+    basis = weyl_basis(d)  # every rule on d, before anything is built
+    scale = np.sqrt(1.0 - q) / basis.d
+    return [np.sqrt(q) * np.eye(basis.d, dtype=complex)] + [scale * u for u in basis.elements]
 
 
 def _channel_list(

@@ -11,12 +11,12 @@ integer in 2..32768) and q (in [0, 1]), one q list per channel, and the library'
 control-vector rule (n! nonnegative entries whose exact sum is within 1e-12
 of 1; they are then divided by that sum). The grid is evaluated in chunks of at
 most SWEEP_CHUNK_ENTRIES // (n! d) points, whole q rows by every control (one q
-row's controls in parts if they alone are over), one ``holevo_batch`` call and
-one format call each, so memory does not grow with it. No Python code runs once
-per row: a chunk's q rows are a range of flat grid indices, unravelled into one
-index per q axis (``--q-linked`` is one axis shared by every channel), each q
-value is formatted once per axis, and numpy's object loop joins each row's q
-texts. ``sweep`` streams its rows to a temporary file next to the output and
+row's controls in parts if they alone are over), one ``holevo_batch`` call and one
+format call each, so memory does not grow with it; ``table1`` is one call per N over
+every d. No Python code runs once per row: a chunk's q rows are a range of flat grid
+indices, unravelled into one index per q axis (``--q-linked`` is one axis shared by
+every channel), each q value is formatted once per axis, and numpy's object loop
+joins each row's q texts. ``sweep`` streams its rows to a temporary file next to the output and
 renames it into place only when every row is written, so a failed sweep leaves
 any previous output untouched; ``holevo`` prints nothing if it fails. A config
 file only fills the ``sweep`` flags left unset, so it meets the flags' rules.
@@ -38,7 +38,7 @@ import numpy as np
 
 from .channels import _check_dimension, _check_transparencies
 from .errors import NumericalError
-from .holevo import holevo_batch, holevo_information
+from .holevo import holevo_batch
 from .switch import MAX_ASSEMBLE_CHANNELS, ControlSpec, _check_probabilities
 from .symgroup import _check_channel_count
 from .verify import run_verification
@@ -174,18 +174,15 @@ def cmd_holevo(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    d_max = _check_dimension(args.d_max)
+    ds = range(2, _check_dimension(args.d_max) + 1)
+    chi2 = holevo_batch(2, ds, [(0.0, 0.0)], [(0.5, 0.5)])[2].ravel()
+    chi3 = holevo_batch(3, ds, [(0.0, 0.0, 0.0)], [(1.0 / 6,) * 6])[2].ravel()
+    ratios = chi3 / chi2
     print("d,chi_q2s,chi_q3s,ratio")
-    ratios = []
-    for d in range(2, d_max + 1):
-        chi2 = holevo_information(2, d, (0.0, 0.0), (0.5, 0.5)).chi
-        chi3 = holevo_information(3, d, (0.0, 0.0, 0.0), (1.0 / 6,) * 6).chi
-        ratio = chi3 / chi2
-        ratios.append(ratio)
-        print(f"{d},{_fmt(chi2)},{_fmt(chi3)},{_fmt(ratio)}")
-    arr = np.asarray(ratios)
-    print(f"ratio_mean,,,{_fmt(arr.mean())}")
-    print(f"ratio_stddev,,,{_fmt(arr.std(ddof=1) if arr.size > 1 else 0.0)}")
+    for d, x2, x3, ratio in zip(ds, chi2, chi3, ratios):
+        print(f"{d},{_fmt(x2)},{_fmt(x3)},{_fmt(ratio)}")
+    print(f"ratio_mean,,,{_fmt(ratios.mean())}")
+    print(f"ratio_stddev,,,{_fmt(ratios.std(ddof=1) if ratios.size > 1 else 0.0)}")
     return EXIT_OK
 
 

@@ -5,10 +5,10 @@ is the minimum output entropy over target states; by concavity it is
 attained on pure states aligned with a basis vector, so the block structure
 reduces it to two n! x n! eigenproblems (target eigenvalue 1 and 0).
 
-``holevo_batch`` is the one evaluation path for every N: a grid of q rows by
-control rows ([Gq, Gp], q slowest), ``switch``'s block stage, then one spectral
-stage solving their stacked a + b, a and control marginal d*a + b in one
-eigensolve, every value bitwise what the point gives alone. ``holevo_information``
+``holevo_batch`` is the one evaluation path for every N: a grid of q rows by control rows
+([Gq, Gp], q slowest) at one d or over a d sequence (``table1``'s one call per N), ``switch``'s
+block stage, then one spectral stage solving their stacked a + b, a and control marginal d*a + b
+in one eigensolve, every value bitwise what the point gives alone. ``holevo_information``
 (a 1 x 1 grid) and ``min_output_entropy`` share them; the N = 2 closed forms check them.
 """
 
@@ -70,7 +70,7 @@ def min_output_entropy(sbm: SwitchBlockMatrix) -> float:
     and plain a at each of the d-1 empty ones. The output spectrum is the
     union of their eigenvalues with multiplicities 1 and d-1.
     """
-    h_min, _ = _block_entropies(sbm.d, np.stack([sbm.a, sbm.b])[None])
+    h_min, _ = _block_entropies([sbm.d], np.stack([sbm.a, sbm.b])[None])
     return float(h_min[0])
 
 
@@ -89,8 +89,8 @@ def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
     return float(_min_output_entropy_n2(*np.array([[q1], [q2], [p]], float), d)[0])
 
 
-def _min_output_entropy_n2(q1: np.ndarray, q2: np.ndarray, p: np.ndarray, d: int) -> np.ndarray:
-    """``min_output_entropy_n2`` of checked points [G], each by the same operations as alone."""
+def _min_output_entropy_n2(q1: np.ndarray, q2: np.ndarray, p: np.ndarray, d) -> np.ndarray:
+    """``min_output_entropy_n2`` of checked points [G] at d (or [G]), each as alone."""
     p1, p2 = 1.0 - q1, 1.0 - q2
     acc = np.zeros(len(q1))
     for k in (0, 1):
@@ -100,7 +100,7 @@ def _min_output_entropy_n2(q1: np.ndarray, q2: np.ndarray, p: np.ndarray, d: int
         for s in (1.0, -1.0):
             lam = alpha / 2.0 + s * disc
             live = lam > 0.0  # a branch at 0 adds nothing
-            acc[live] -= (d - 1) ** (1 - k) * lam[live] * np.log2(lam[live])
+            acc[live] -= ((d - 1) ** (1 - k) * lam)[live] * np.log2(lam[live])
     return acc
 
 
@@ -129,41 +129,46 @@ def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_entropies(d: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h_min, h_control) in bits of a checked [G, 2, n!, n!] block stack, in one eigensolve."""
-    a, b = blocks[:, 0], blocks[:, 1]
+def _block_entropies(ds: list[int], blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h_min, h_control) in bits of a checked [G, 2, n!, n!] stack, d slowest over ds."""
+    shape = len(ds), len(blocks) // len(ds), blocks.shape[-1]  # [d, point at that d, n!]
+    a, b = (blocks[:, i].reshape(shape + shape[-1:]) for i in (0, 1))
     stack = np.stack([a, a, a])  # made a + b, a, d*a + b in place: no full-size temporaries
-    stack[2] *= d
+    stack[2] *= np.array(ds, dtype=float)[:, None, None, None]
     stack[::2] += b
     top, rest, marginal = _spectrum(stack)
-    # Tiled, not weighted by d - 1: the weighted sum rounds differently (chi is
+    # Tiled per d, not weighted by d - 1: the weighted sum rounds differently (chi is
     # 4.44089e-16, not 0, at n = 1, d = 7, q = 0) and changes the sweep's CSV bytes.
-    h_min = _entropy_rows(np.concatenate([top] + [rest] * (d - 1), axis=1))
+    tiles = (np.concatenate([t] + [r] * (d - 1), axis=1) for d, t, r in zip(ds, top, rest))
+    h_min = np.concatenate([_entropy_rows(tile) for tile in tiles])
     # The marginal is exactly symmetric with unit trace by construction, so
     # only the spectrum is checked, and a bad one is a numerical failure.
-    h_control = _entropy_rows(marginal)
+    h_control = _entropy_rows(marginal.reshape(-1, shape[2]))
     return h_min, h_control
 
 
-def holevo_batch(n: int, d: int, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h_min, h_control, chi) in bits, each [Gq, Gp], for n channels at dimension d.
+def holevo_batch(n: int, d, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h_min, h_control, chi) in bits, each [Gq, Gp] at one d or [Gd, Gq, Gp] over a d sequence.
 
     ``q`` holds Gq rows of n transparencies and ``probs`` Gp rows of n! order
-    probabilities; every pair is a point, q slowest. Each row is checked once,
-    and each point as ``SwitchBlockMatrix`` checks a single one.
+    probabilities; every pair is a point, q slowest, d slowest of all. Each d and
+    each row is checked once, and each point as ``SwitchBlockMatrix`` checks a single one.
     """
     _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)
-    d = _check_dimension(d)
+    ds = [_check_dimension(v) for v in ([d] if np.ndim(d) == 0 else d)]
+    if not ds:
+        raise ValueError("expected at least one dimension")
     q = np.asarray(q, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if q.ndim != 2 or q.shape[1] != n:
         raise ValueError(f"expected q of shape [G, {n}], got {q.shape}")
     _check_transparencies(q)
     _check_probabilities(probs, n)
-    blocks = _switch_blocks(n, d, q, probs)
-    _check_blocks(d, blocks)
-    h_min, h_control = (v.reshape(len(q), len(probs)) for v in _block_entropies(d, blocks))
-    return h_min, h_control, math.log2(d) + h_control - h_min
+    blocks = _switch_blocks(n, ds, q, probs)
+    _check_blocks(np.repeat(ds, len(q) * len(probs)), blocks)
+    h_min, h_control = np.reshape(_block_entropies(ds, blocks), (2, len(ds), len(q), len(probs)))
+    chi = np.array([math.log2(v) for v in ds])[:, None, None] + h_control - h_min
+    return (h_min, h_control, chi) if np.ndim(d) else (h_min[0], h_control[0], chi[0])
 
 
 def holevo_information(n: int, d: int, q, probs) -> HolevoReport:
@@ -173,7 +178,7 @@ def holevo_information(n: int, d: int, q, probs) -> HolevoReport:
     """
     q = tuple(float(x) for x in q)
     probs = tuple(float(x) for x in probs)
-    h_min, h_control, chi = (float(v[0, 0]) for v in holevo_batch(n, d, [q], [probs]))
+    h_min, h_control, chi = (float(v[0, 0, 0]) for v in holevo_batch(n, [d], [q], [probs]))
     return HolevoReport(
         n=n, d=d, q=q, probs=probs, h_min=h_min, h_control=h_control, chi=chi
     )

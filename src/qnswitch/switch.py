@@ -77,12 +77,12 @@ def _check_order_label(n: int, k) -> None:
         raise ValueError(f"order labels must be integers in 1..{nf}, got {k!r}")
 
 
-def _check_blocks(d: int, blocks: np.ndarray) -> None:
+def _check_blocks(d, blocks: np.ndarray) -> None:
     """Reject a stack [G, 2, n!, n!] of coefficients (a, b) unless every point is valid.
 
     The package's one block rule: each point's a and b must be finite,
-    exactly symmetric and nonnegative, and its realized trace
-    sum_k (d*a[k,k] + b[k,k]) must equal 1 within 1e-12.
+    exactly symmetric and nonnegative, and its realized trace sum_k (d*a[k,k] + b[k,k]),
+    d one or [G], within 2e-12 of 1: 1e-12 of rounding past any sum the control rule accepts.
     """
     if not np.isfinite(blocks).all():
         raise ValueError("block coefficients must be finite")
@@ -92,7 +92,7 @@ def _check_blocks(d: int, blocks: np.ndarray) -> None:
         raise ValueError("block coefficients must be nonnegative")
     traces = blocks.trace(axis1=2, axis2=3)
     realized = d * traces[:, 0] + traces[:, 1]
-    bad = np.flatnonzero(np.abs(realized - 1.0) > 1e-12)
+    bad = np.flatnonzero(np.abs(realized - 1.0) > 2e-12)
     if bad.size:
         raise ValueError(f"realized trace {realized[bad[0]]} != 1")
 
@@ -278,10 +278,10 @@ def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> tuple[bool, int]:
 # ---------------------------------------------------------------------------
 
 
-def _switch_blocks(n: int, d: int, q: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Control-weighted blocks [Gq*Gp, 2, n!, n!] (I then rho) for q [Gq, n] by probs [Gp, n!].
+def _switch_blocks(n: int, ds: Sequence[int], q: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Control-weighted blocks [Gd*Gq*Gp, 2, n!, n!] (I then rho): ds by q [Gq, n] by probs [Gp, n!]
 
-    Per q row, the subset weights multiply channel by channel and the subsets
+    Per d and q row, the subset weights multiply channel by channel and the subsets
     are added one by one in table order into each distinct column, so every
     entry is bitwise what the same sum gives for that point alone. Block
     (k, k') is then weighted by each control's sqrt(P_k P_k').
@@ -292,16 +292,18 @@ def _switch_blocks(n: int, d: int, q: np.ndarray, probs: np.ndarray) -> np.ndarr
     weight = np.ones(factors.shape[:2])
     for j in range(n):
         weight *= factors[:, :, j]
-    weight *= [float(d) ** (2 * (len(members) - n)) for members in table.subsets]
-    powers = np.array([float(d) ** p for p in range(int(table.power.max()) + 1)])
-    scale = powers[table.power]
-    split = np.stack([scale * table.identity, scale * ~table.identity], axis=1)
-    sums = np.zeros((len(q),) + split.shape[1:])
-    for column, terms in zip(weight.T[:, :, None, None], split):
-        sums += column * terms
+    # d^k at k + 2n, k in -2n..max power, by Python per d: numpy's differs in the last bit.
+    powers = np.array([[float(d) ** k for k in range(-2 * n, table.power.max() + 1)] for d in ds])
+    weight = weight * powers[:, None, [2 * len(members) for members in table.subsets]]
+    scale = powers[:, table.power + 2 * n]
+    split = np.stack([scale * table.identity, scale * ~table.identity], axis=2)
+    sums = np.zeros((len(ds), len(q)) + split.shape[2:])
+    for column, terms in zip(weight.transpose(2, 0, 1)[..., None, None], split.swapaxes(0, 1)):
+        sums += column * terms[:, None]
     # Sums copied per control, then gathered: a broadcast density product page-faults each call.
+    sums = sums.reshape((-1,) + split.shape[2:])
     blocks = np.take(np.repeat(sums, len(probs), axis=0), table.column, axis=2)
-    amps = np.tile(np.sqrt(probs), (len(q), 1))[:, None]
+    amps = np.tile(np.sqrt(probs), (len(sums), 1))[:, None]
     blocks *= amps[..., None] * amps[..., None, :]  # each control's density
     return blocks
 
@@ -320,7 +322,7 @@ def assemble_blocks(
     n, d = _channel_list(channels, MAX_ASSEMBLE_CHANNELS)
     if ctrl.n != n:
         raise ValueError(f"control is for {ctrl.n} channels, got {n}")
-    a, b = _switch_blocks(n, d, np.array([[ch.q for ch in channels]]), np.array([ctrl.probs]))[0]
+    a, b = _switch_blocks(n, (d,), np.array([[ch.q for ch in channels]]), np.array([ctrl.probs]))[0]
     return SwitchBlockMatrix(n=n, d=d, a=a, b=b)
 
 

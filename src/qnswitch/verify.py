@@ -3,8 +3,9 @@
 Each suite exercises one exact identity or cross-check at small sizes and
 reports pass/fail with a short detail string. The expected contraction
 tables for two and three channels are frozen here; they double as
-regression data for the test suite. Each (n, d)'s oracle points and each d's N = 2
-entropy points are one checked stack; only the brute-force sum runs per point.
+regression data for the test suite. Each (n, d)'s oracle points are one checked
+stack; the N = 2 entropy points and each N's chi bounds are one block and one
+spectral call over every d. Only the brute-force sum runs per point.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def check_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
             points.append((chans, ctrl, ch.random_density(d, rng)))
         chan_sets, ctrls, rhos = zip(*points)  # the blocks: the 3 x 3 q-by-P grid's diagonal
         q = np.array([[c.q for c in chans] for chans in chan_sets])
-        blocks = sw._switch_blocks(n, d, q, np.array([c.probs for c in ctrls]))[::4]
+        blocks = sw._switch_blocks(n, (d,), q, np.array([c.probs for c in ctrls]))[::4]
         sw._check_blocks(d, blocks)
         for out, point in zip(sw._realize(blocks, np.array([r.entries for r in rhos])), points):
             worst = max(worst, np.abs(out - sw.kraus_sum_output(*point)).max())
@@ -207,29 +208,32 @@ def check_closed_forms(rng: np.random.Generator) -> CheckResult:
 
 
 def check_min_entropy_consistency(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
     grid = np.linspace(0.0, 1.0, 5)
     q1, q2, p = np.array(list(product(grid, grid, (0.2, 0.5, 0.9)))).T
     ch._check_transparencies((q1, q2))
     sw._check_probabilities(np.stack([p, 1.0 - p], axis=1), 2)
-    for d in (2, 3):
-        blocks = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, d)
-        sw._check_blocks(d, blocks)
-        h_min, _ = hv._block_entropies(d, blocks)
-        worst = max(worst, np.abs(h_min - hv._min_output_entropy_n2(q1, q2, p, d)).max())
+    ds = [2, 3]
+    d = np.repeat(ds, len(p))  # d slowest, as _block_entropies reads it
+    q1, q2, p = np.tile([q1, q2, p], len(ds))
+    blocks = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, d)
+    sw._check_blocks(d, blocks)
+    h_min, _ = hv._block_entropies(ds, blocks)
+    worst = np.abs(h_min - hv._min_output_entropy_n2(q1, q2, p, d)).max()
     return _result("closed-form vs eigensolver entropy", worst, 1e-10)
 
 
 def check_chi_bounds(rng: np.random.Generator) -> CheckResult:
     worst_bound = worst_gap = 0.0
-    for n, d in product((2, 3), (2, 3)):
+    ds = (2, 3)
+    for n in (2, 3):
         nf = math.factorial(n)
-        # 11 linked q values, each under uniform and under a definite order.
+        # 11 linked q values, each under uniform and under a definite order, at d = 2 and 3.
         q = np.repeat(np.linspace(0.0, 1.0, 11)[:, None], n, axis=1)
         probs = [[1.0 / nf] * nf, [1.0] + [0.0] * (nf - 1)]
-        uniform, definite = hv.holevo_batch(n, d, q, probs)[2].T
-        worst_bound = max(worst_bound, -uniform.min(), uniform.max() - math.log2(d))
-        worst_gap = max(worst_gap, (definite - uniform).max())
+        for d, chi in zip(ds, hv.holevo_batch(n, ds, q, probs)[2]):
+            uniform, definite = chi.T
+            worst_bound = max(worst_bound, -uniform.min(), uniform.max() - math.log2(d))
+            worst_gap = max(worst_gap, (definite - uniform).max())
     passed = worst_bound <= 1e-12 and worst_gap <= 1e-12
     return CheckResult(
         "chi bounds and definite-order comparison",

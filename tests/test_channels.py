@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnswitch.channels import (
+    MAX_BASIS_DIMENSION,
     DensityMatrix,
     DepolarizingChannel,
     UnitaryBasis,
@@ -12,6 +13,7 @@ from qnswitch.channels import (
     random_density,
     weyl_basis,
 )
+from qnswitch.errors import SizeLimitError
 from qnswitch.symgroup import enumerate_orders
 
 
@@ -56,6 +58,16 @@ class TestWeylBasis:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             weyl_basis(1)
+
+    def test_basis_cap_refuses_before_anything_is_built(self, monkeypatch):
+        # One over the cap only: a basis at a large d would be d^4 complex entries.
+        import qnswitch.channels as ch
+
+        monkeypatch.setattr(ch, "_weyl_basis", None)
+        monkeypatch.setattr(ch.np, "eye", None)
+        for make in (weyl_basis, lambda d: kraus_set(0.5, d)):
+            with pytest.raises(SizeLimitError, match=f"at most {MAX_BASIS_DIMENSION}"):
+                make(MAX_BASIS_DIMENSION + 1)
 
     def test_non_orthogonal_set_rejected(self):
         eye = np.eye(2, dtype=complex)

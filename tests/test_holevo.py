@@ -501,6 +501,54 @@ def test_entropy_rows_is_bitwise_the_row_by_row_sum(length, data):
         assert _entropy_rows(stack).tobytes() == want.tobytes()
 
 
+# Repeated and unsorted, with 55, where numpy's vectorized power and Python's can differ.
+D_AXIS = [3, 55, 2, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_d_axis_is_bitwise_the_stack_of_per_d_calls(n):
+    nf = math.factorial(n)
+    qs = [(0.0,) * n, (1.0,) * n, tuple(np.linspace(0.1, 0.9, n)), (1.0,) + (0.4,) * (n - 1)]
+    controls = [_control(n, kind, np.linspace(0.2, 1.0, nf)) for kind in ("uniform", "partly zero")]
+    controls += [_control(n, "definite", [0.0]), _control(n, "definite", [0.99])]
+    batch = holevo_batch(n, D_AXIS, qs, controls)
+    for got, per_d in zip(batch, zip(*(holevo_batch(n, d, qs, controls) for d in D_AXIS))):
+        assert got.shape == (len(D_AXIS), len(qs), len(controls))
+        assert got.tobytes() == np.stack(per_d).tobytes()
+    assert batch[2].tobytes() == holevo_batch(n, np.array(D_AXIS), qs, controls)[2].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_powers_of_d_are_pythons(n):
+    # At N = 2 and 4 a subset is weighed by d^-2, which numpy's vectorized power
+    # can round differently from Python's (55.0 ** -2 does on some machines): the
+    # blocks at d = 55 must be the per-point sum's, which takes Python's.
+    q = tuple(np.linspace(0.2, 0.7, n))
+    probs = ControlSpec.uniform(n).probs
+    sbm = _per_point_blocks(n, 55, q, probs)
+    built = sw._switch_blocks(n, [2, 55], np.array([q]), np.array([probs]))[1]
+    assert built.tobytes() == np.stack([sbm.a, sbm.b]).tobytes()
+    h_min = holevo_batch(n, [2, 55], [q], [probs])[0][1, 0, 0]
+    assert h_min.tobytes() == np.float64(min_output_entropy(sbm)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [1, 2.5, math.nan, "3", None])
+@pytest.mark.parametrize("at", [0, 2])
+def test_a_bad_d_anywhere_in_the_sequence_is_rejected(bad, at):
+    ds = [2, 3, 4]
+    ds[at] = bad
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        holevo_batch(2, ds, [(0.5, 0.5)], [(0.5, 0.5)])
+    with pytest.raises(SizeLimitError, match="dimension"):
+        holevo_batch(2, [2, MAX_DIMENSION + 1], [(0.5, 0.5)], [(0.5, 0.5)])
+
+
+@pytest.mark.parametrize("ds", [[], (), range(2, 2), np.array([], dtype=int)])
+def test_an_empty_d_sequence_is_rejected(ds):
+    with pytest.raises(ValueError, match="at least one dimension"):
+        holevo_batch(2, ds, [(0.5, 0.5)], [(0.5, 0.5)])
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_two_channel_batch_matches_closed_forms(d):
     grid = np.linspace(0.0, 1.0, 6)
@@ -550,7 +598,8 @@ class TestHolevoBatchArguments:
 
     # Every entry point that takes d applies the one dimension rule.
     TAKES_D = (
-        lambda d: holevo_batch(2, d, [(0.5, 0.5)], [(0.5, 0.5)]),
+        # A list d is holevo_batch's d axis; holevo_information passes it one d.
+        lambda d: holevo_batch(2, [d], [(0.5, 0.5)], [(0.5, 0.5)]),
         lambda d: holevo_information(2, d, (0.5, 0.5), (0.5, 0.5)),
         lambda d: DepolarizingChannel(0.5, d),
         weyl_basis,

@@ -27,7 +27,7 @@ from qnswitch.switch import (
     realize,
     _loop_rule,
 )
-from qnswitch.holevo import holevo_batch, holevo_information
+from qnswitch.holevo import holevo_batch, holevo_information, min_output_entropy
 from qnswitch.symgroup import Permutation, ZeroSubset, enumerate_orders, zero_subsets
 from qnswitch.verify import CONTRACTION_TABLE_N2, CONTRACTION_TABLE_N3
 
@@ -177,6 +177,29 @@ class TestChannelCountRule:
 
 
 class TestBlockTypes:
+    # Sums to 1 + 9.9987e-13, within the control rule's 1e-12; its realized
+    # trace is 1.000000000001, 1e-12 from 1 after rounding.
+    EDGE_CONTROL = (0.0433333333335,) * 3 + (0.2900000000001666,) * 3
+
+    def test_every_control_the_rule_accepts_passes_the_block_rule(self):
+        ctrl = ControlSpec(3, self.EDGE_CONTROL)
+        low = ControlSpec(3, tuple(2.0 / 6 - p for p in self.EDGE_CONTROL))  # 1 - 1e-12
+        for probs in (ctrl.probs, low.probs):
+            chi = holevo_batch(3, [2, 3], [(0.5,) * 3], [probs, ctrl.probs])[2]
+            assert np.isfinite(chi).all()
+        sbm = assemble_blocks(channels_for([0.5] * 3, 2), ctrl)
+        assert min_output_entropy(sbm) == holevo_batch(3, 2, [(0.5,) * 3], [ctrl.probs])[0][0, 0]
+
+    def test_trace_bound(self):
+        # The block rule allows the control rule's 1e-12 plus 1e-12 of rounding.
+        for excess, ok in ((1.9e-12, True), (-1.9e-12, True), (2.1e-12, False), (-2.1e-12, False)):
+            b = np.eye(2) * (0.5 + excess / 2)
+            if ok:
+                SwitchBlockMatrix(n=2, d=2, a=np.zeros((2, 2)), b=b)
+            else:
+                with pytest.raises(ValueError, match="realized trace"):
+                    SwitchBlockMatrix(n=2, d=2, a=np.zeros((2, 2)), b=b)
+
     @pytest.mark.parametrize(
         "value,message",
         [(-1e-3, "nonnegative"), (float("nan"), "finite"), (math.inf, "finite"),
