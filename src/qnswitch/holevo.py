@@ -131,19 +131,20 @@ def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
 
 def _block_entropies(ds: list[int], blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(h_min, h_control) in bits of a checked [G, 2, n!, n!] stack, d slowest over ds."""
-    shape = len(ds), len(blocks) // len(ds), blocks.shape[-1]  # [d, point at that d, n!]
-    a, b = (blocks[:, i].reshape(shape + shape[-1:]) for i in (0, 1))
+    a, b = blocks[:, 0], blocks[:, 1]
     stack = np.stack([a, a, a])  # made a + b, a, d*a + b in place: no full-size temporaries
-    stack[2] *= np.array(ds, dtype=float)[:, None, None, None]
+    at = [slice(i * len(a) // len(ds), (i + 1) * len(a) // len(ds)) for i in range(len(ds))]
+    for d, rows in zip(ds, at):
+        stack[2, rows] *= d
     stack[::2] += b
     top, rest, marginal = _spectrum(stack)
     # Tiled per d, not weighted by d - 1: the weighted sum rounds differently (chi is
     # 4.44089e-16, not 0, at n = 1, d = 7, q = 0) and changes the sweep's CSV bytes.
-    tiles = (np.concatenate([t] + [r] * (d - 1), axis=1) for d, t, r in zip(ds, top, rest))
-    h_min = np.concatenate([_entropy_rows(tile) for tile in tiles])
+    tiles = ([top[rows]] + [rest[rows]] * (d - 1) for d, rows in zip(ds, at))
+    h_min = np.concatenate([_entropy_rows(np.concatenate(tile, axis=1)) for tile in tiles])
     # The marginal is exactly symmetric with unit trace by construction, so
     # only the spectrum is checked, and a bad one is a numerical failure.
-    h_control = _entropy_rows(marginal.reshape(-1, shape[2]))
+    h_control = _entropy_rows(marginal)
     return h_min, h_control
 
 
@@ -155,7 +156,7 @@ def holevo_batch(n: int, d, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     each row is checked once, and each point as ``SwitchBlockMatrix`` checks a single one.
     """
     _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)
-    ds = [_check_dimension(v) for v in ([d] if np.ndim(d) == 0 else d)]
+    ds = [_check_dimension(v) for v in (d if np.ndim(d) else [d])]
     if not ds:
         raise ValueError("expected at least one dimension")
     q = np.asarray(q, dtype=float)
@@ -165,10 +166,11 @@ def holevo_batch(n: int, d, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     _check_transparencies(q)
     _check_probabilities(probs, n)
     blocks = _switch_blocks(n, ds, q, probs)
-    _check_blocks(np.repeat(ds, len(q) * len(probs)), blocks)
-    h_min, h_control = np.reshape(_block_entropies(ds, blocks), (2, len(ds), len(q), len(probs)))
-    chi = np.array([math.log2(v) for v in ds])[:, None, None] + h_control - h_min
-    return (h_min, h_control, chi) if np.ndim(d) else (h_min[0], h_control[0], chi[0])
+    _check_blocks(ds, blocks)
+    shape = len(ds), len(q), len(probs)
+    h_min, h_control = (v.reshape(shape) for v in _block_entropies(ds, blocks))
+    chi = [math.log2(v) + c - m for v, c, m in zip(ds, h_control, h_min)]
+    return (h_min, h_control, np.stack(chi)) if np.ndim(d) else (h_min[0], h_control[0], chi[0])
 
 
 def holevo_information(n: int, d: int, q, probs) -> HolevoReport:

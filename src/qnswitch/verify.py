@@ -174,7 +174,7 @@ def check_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
         chan_sets, ctrls, rhos = zip(*points)  # the blocks: the 3 x 3 q-by-P grid's diagonal
         q = np.array([[c.q for c in chans] for chans in chan_sets])
         blocks = sw._switch_blocks(n, (d,), q, np.array([c.probs for c in ctrls]))[::4]
-        sw._check_blocks(d, blocks)
+        sw._check_blocks([d], blocks)
         for out, point in zip(sw._realize(blocks, np.array([r.entries for r in rhos])), points):
             worst = max(worst, np.abs(out - sw.kraus_sum_output(*point)).max())
     return _result("assembled blocks vs brute-force sum", worst, 1e-10)
@@ -216,7 +216,7 @@ def check_min_entropy_consistency(rng: np.random.Generator) -> CheckResult:
     d = np.repeat(ds, len(p))  # d slowest, as _block_entropies reads it
     q1, q2, p = np.tile([q1, q2, p], len(ds))
     blocks = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, d)
-    sw._check_blocks(d, blocks)
+    sw._check_blocks(ds, blocks)
     h_min, _ = hv._block_entropies(ds, blocks)
     worst = np.abs(h_min - hv._min_output_entropy_n2(q1, q2, p, d)).max()
     return _result("closed-form vs eigensolver entropy", worst, 1e-10)
@@ -224,13 +224,12 @@ def check_min_entropy_consistency(rng: np.random.Generator) -> CheckResult:
 
 def check_chi_bounds(rng: np.random.Generator) -> CheckResult:
     worst_bound = worst_gap = 0.0
-    ds = (2, 3)
     for n in (2, 3):
         nf = math.factorial(n)
         # 11 linked q values, each under uniform and under a definite order, at d = 2 and 3.
         q = np.repeat(np.linspace(0.0, 1.0, 11)[:, None], n, axis=1)
         probs = [[1.0 / nf] * nf, [1.0] + [0.0] * (nf - 1)]
-        for d, chi in zip(ds, hv.holevo_batch(n, ds, q, probs)[2]):
+        for d, chi in zip((2, 3), hv.holevo_batch(n, (2, 3), q, probs)[2]):
             uniform, definite = chi.T
             worst_bound = max(worst_bound, -uniform.min(), uniform.max() - math.log2(d))
             worst_gap = max(worst_gap, (definite - uniform).max())

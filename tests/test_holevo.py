@@ -539,8 +539,6 @@ def test_a_bad_d_anywhere_in_the_sequence_is_rejected(bad, at):
     ds[at] = bad
     with pytest.raises(ValueError, match="dimension must be an integer"):
         holevo_batch(2, ds, [(0.5, 0.5)], [(0.5, 0.5)])
-    with pytest.raises(SizeLimitError, match="dimension"):
-        holevo_batch(2, [2, MAX_DIMENSION + 1], [(0.5, 0.5)], [(0.5, 0.5)])
 
 
 @pytest.mark.parametrize("ds", [[], (), range(2, 2), np.array([], dtype=int)])
@@ -598,8 +596,8 @@ class TestHolevoBatchArguments:
 
     # Every entry point that takes d applies the one dimension rule.
     TAKES_D = (
-        # A list d is holevo_batch's d axis; holevo_information passes it one d.
-        lambda d: holevo_batch(2, [d], [(0.5, 0.5)], [(0.5, 0.5)]),
+        lambda d: holevo_batch(2, d, [(0.5, 0.5)], [(0.5, 0.5)]),
+        lambda d: holevo_batch(2, [d], [(0.5, 0.5)], [(0.5, 0.5)]),  # d as a one-entry d axis
         lambda d: holevo_information(2, d, (0.5, 0.5), (0.5, 0.5)),
         lambda d: DepolarizingChannel(0.5, d),
         weyl_basis,
@@ -628,7 +626,12 @@ class TestHolevoBatchArguments:
     def test_non_number_dimension_is_a_value_error(self, d):
         # A d that cannot be compared with the cap is a ValueError, not a TypeError,
         # and the rule runs before weyl_basis's cache hashes d.
-        for make in self.TAKES_D:
+        batch, *makes = self.TAKES_D
+        if d == [2]:  # holevo_batch's d axis, with one d
+            assert [v.shape for v in batch(d)] == [(1, 1, 1)] * 3
+        else:
+            makes.insert(0, batch)
+        for make in makes:
             with pytest.raises(ValueError, match="dimension must be an integer"):
                 make(d)
 

@@ -190,6 +190,18 @@ class TestBlockTypes:
         sbm = assemble_blocks(channels_for([0.5] * 3, 2), ctrl)
         assert min_output_entropy(sbm) == holevo_batch(3, 2, [(0.5,) * 3], [ctrl.probs])[0][0, 0]
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_rounding_stays_far_inside_the_trace_margin(self, n):
+        # The block rule's 1e-12 past the control rule's is for rounding, which
+        # stays below (2^n + n! + 2n) * 2^-53, 2e-14 at n = 5, at any d.
+        rng = np.random.default_rng(n)
+        probs = rng.dirichlet(np.ones(math.factorial(n)), size=4) * (1.0 + 9e-13)
+        for d in (2, 55, 1 << 15):
+            blocks = sw._switch_blocks(n, [d], rng.uniform(size=(4, n)), probs)
+            traces = blocks.trace(axis1=2, axis2=3)
+            realized = (d * traces[:, 0] + traces[:, 1]).reshape(4, 4)
+            assert np.abs(realized - [math.fsum(p) for p in probs]).max() < 2e-14
+
     def test_trace_bound(self):
         # The block rule allows the control rule's 1e-12 plus 1e-12 of rounding.
         for excess, ok in ((1.9e-12, True), (-1.9e-12, True), (2.1e-12, False), (-2.1e-12, False)):
