@@ -62,6 +62,9 @@ class DensityMatrix:
 
     @classmethod
     def basis_state(cls, d: int, index: int = 0) -> DensityMatrix:
+        d = _check_dimension(d)
+        if not (isinstance(index, (int, np.integer)) and 0 <= index < d):
+            raise ValueError(f"basis index must be an integer in 0..{d - 1}, got {index!r}")
         mat = np.zeros((d, d), dtype=complex)
         mat[index, index] = 1.0
         return cls(mat)
@@ -69,16 +72,21 @@ class DensityMatrix:
     @classmethod
     def pure(cls, vector: Sequence[complex]) -> DensityMatrix:
         v = np.asarray(vector, dtype=complex)
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise ValueError(f"a pure state needs a finite nonzero vector, got norm {norm}")
+        v = v / norm
         return cls(np.outer(v, v.conj()))
 
     @classmethod
     def maximally_mixed(cls, d: int) -> DensityMatrix:
+        d = _check_dimension(d)
         return cls(np.eye(d, dtype=complex) / d)
 
 
 def random_density(d: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random full-rank density matrix (normalized Wishart draw)."""
+    """Random full-rank density matrix (normalized Wishart draw); d is checked before any draw."""
+    d = _check_dimension(d)
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = m @ m.conj().T
     return DensityMatrix(h / np.trace(h))

@@ -151,7 +151,7 @@ def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
             for a in spec.channel_axis[1:]:
                 q_text = q_text + "," + q_texts[a][index[a]]
             for lo in range(0, len(p_texts), p_step):
-                values = np.stack(holevo_batch(n, d, q, probs[lo : lo + p_step])) + 0.0
+                values = np.stack(holevo_batch(n, (d,), q, probs[lo : lo + p_step])) + 0.0
                 controls = p_texts[lo : lo + p_step]
                 fields = [None] * (5 * len(q) * len(controls))
                 fields[0::5] = q_text.repeat(len(controls)).tolist()

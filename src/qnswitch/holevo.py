@@ -5,11 +5,11 @@ is the minimum output entropy over target states; by concavity it is
 attained on pure states aligned with a basis vector, so the block structure
 reduces it to two n! x n! eigenproblems (target eigenvalue 1 and 0).
 
-``holevo_batch`` is the one evaluation path for every N: a grid of q rows by control rows
-([Gq, Gp], q slowest) at one d or over a d sequence (``table1``'s one call per N), ``switch``'s
-block stage, then one spectral stage solving their stacked a + b, a and control marginal d*a + b
-in one eigensolve, every value bitwise what the point gives alone. ``holevo_information``
-(a 1 x 1 grid) and ``min_output_entropy`` share them; the N = 2 closed forms check them.
+``holevo_batch`` is the one evaluation path for every N: a sequence of d by a grid of q rows by
+control rows ([Gd, Gq, Gp]; d is axis 0 of every block stack), ``switch``'s block stage, then one
+spectral stage solving their stacked a + b, a and control marginal d*a + b in one eigensolve,
+every value bitwise what the point gives alone. ``holevo_information`` (a 1 x 1 x 1 grid) and
+``min_output_entropy`` share them; the N = 2 closed forms check them.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def min_output_entropy(sbm: SwitchBlockMatrix) -> float:
     and plain a at each of the d-1 empty ones. The output spectrum is the
     union of their eigenvalues with multiplicities 1 and d-1.
     """
-    h_min, _ = _block_entropies([sbm.d], np.stack([sbm.a, sbm.b])[None])
-    return float(h_min[0])
+    h_min, _ = _block_entropies([sbm.d], np.stack([sbm.a, sbm.b])[None, None])
+    return float(h_min[0, 0])
 
 
 def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
@@ -86,13 +86,14 @@ def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
     _check_transparencies((q1, q2))
     _check_probabilities(np.array([[p, 1.0 - p]]), 2)
     d = _check_dimension(d)
-    return float(_min_output_entropy_n2(*np.array([[q1], [q2], [p]], float), d)[0])
+    return float(_min_output_entropy_n2(*np.array([[q1], [q2], [p]], float), [d])[0, 0])
 
 
-def _min_output_entropy_n2(q1: np.ndarray, q2: np.ndarray, p: np.ndarray, d) -> np.ndarray:
-    """``min_output_entropy_n2`` of checked points [G] at d (or [G]), each as alone."""
+def _min_output_entropy_n2(q1: np.ndarray, q2: np.ndarray, p: np.ndarray, ds) -> np.ndarray:
+    """``min_output_entropy_n2`` [Gd, G] of checked points [G] over ds, each as alone."""
+    d = np.array(ds)[:, None]
     p1, p2 = 1.0 - q1, 1.0 - q2
-    acc = np.zeros(len(q1))
+    acc = np.zeros((len(d), len(q1)))
     for k in (0, 1):
         alpha = (1.0 - q1 * q2) / d + k * q1 * q2
         beta = (p1 * q2 + q1 * p2) / d + k * (p1 * p2 / d**2 + q1 * q2)
@@ -130,35 +131,33 @@ def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
 
 
 def _block_entropies(ds: list[int], blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h_min, h_control) in bits of a checked [G, 2, n!, n!] stack, d slowest over ds."""
-    a, b = blocks[:, 0], blocks[:, 1]
+    """(h_min, h_control) [Gd, G] in bits of a checked [Gd, G, 2, n!, n!] stack over ds."""
+    a, b = blocks[:, :, 0], blocks[:, :, 1]
     stack = np.stack([a, a, a])  # made a + b, a, d*a + b in place: no full-size temporaries
-    at = [slice(i * len(a) // len(ds), (i + 1) * len(a) // len(ds)) for i in range(len(ds))]
-    for d, rows in zip(ds, at):
-        stack[2, rows] *= d
+    stack[2] *= np.array(ds)[:, None, None, None]
     stack[::2] += b
     top, rest, marginal = _spectrum(stack)
     # Tiled per d, not weighted by d - 1: the weighted sum rounds differently (chi is
     # 4.44089e-16, not 0, at n = 1, d = 7, q = 0) and changes the sweep's CSV bytes.
-    tiles = ([top[rows]] + [rest[rows]] * (d - 1) for d, rows in zip(ds, at))
-    h_min = np.concatenate([_entropy_rows(np.concatenate(tile, axis=1)) for tile in tiles])
+    tiles = (np.concatenate([t, np.tile(r, d - 1)], axis=1) for d, t, r in zip(ds, top, rest))
+    h_min = np.stack([_entropy_rows(tile) for tile in tiles])
     # The marginal is exactly symmetric with unit trace by construction, so
     # only the spectrum is checked, and a bad one is a numerical failure.
-    h_control = _entropy_rows(marginal)
+    h_control = _entropy_rows(marginal.reshape(-1, marginal.shape[-1])).reshape(marginal.shape[:-1])
     return h_min, h_control
 
 
-def holevo_batch(n: int, d, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h_min, h_control, chi) in bits, each [Gq, Gp] at one d or [Gd, Gq, Gp] over a d sequence.
+def holevo_batch(n: int, ds, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h_min, h_control, chi) in bits, each [Gd, Gq, Gp], over a sequence ds of Gd dimensions.
 
     ``q`` holds Gq rows of n transparencies and ``probs`` Gp rows of n! order
-    probabilities; every pair is a point, q slowest, d slowest of all. Each d and
-    each row is checked once, and each point as ``SwitchBlockMatrix`` checks a single one.
+    probabilities; at each d, every pair is a point. Each d and each row is
+    checked once, and each point as ``SwitchBlockMatrix`` checks a single one.
     """
     _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)
-    ds = [_check_dimension(v) for v in (d if np.ndim(d) else [d])]
-    if not ds:
-        raise ValueError("expected at least one dimension")
+    if np.ndim(ds) == 0 or not len(ds):
+        raise ValueError(f"expected a sequence of at least one dimension, got {ds!r}")
+    ds = [_check_dimension(v) for v in ds]
     q = np.asarray(q, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if q.ndim != 2 or q.shape[1] != n:
@@ -167,10 +166,9 @@ def holevo_batch(n: int, d, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     _check_probabilities(probs, n)
     blocks = _switch_blocks(n, ds, q, probs)
     _check_blocks(ds, blocks)
-    shape = len(ds), len(q), len(probs)
-    h_min, h_control = (v.reshape(shape) for v in _block_entropies(ds, blocks))
-    chi = [math.log2(v) + c - m for v, c, m in zip(ds, h_control, h_min)]
-    return (h_min, h_control, np.stack(chi)) if np.ndim(d) else (h_min[0], h_control[0], chi[0])
+    h_min, h_control = (v.reshape(len(ds), len(q), -1) for v in _block_entropies(ds, blocks))
+    chi = np.array([math.log2(v) for v in ds])[:, None, None] + h_control - h_min
+    return h_min, h_control, chi
 
 
 def holevo_information(n: int, d: int, q, probs) -> HolevoReport:

@@ -78,7 +78,7 @@ def _check_order_label(n: int, k) -> None:
 
 
 def _check_blocks(ds: Sequence[int], blocks: np.ndarray) -> None:
-    """Reject a stack [G, 2, n!, n!] of blocks (a, b), d slowest over ds, unless all are valid.
+    """Reject a stack [Gd, G, 2, n!, n!] of blocks (a, b), axis 0 over ds, unless all are valid.
 
     The package's one block rule: each point's a and b must be finite, exactly symmetric
     and nonnegative, and its realized trace sum_k (d*a[k,k] + b[k,k]) within 2e-12 of 1:
@@ -86,15 +86,15 @@ def _check_blocks(ds: Sequence[int], blocks: np.ndarray) -> None:
     """
     if not np.isfinite(blocks).all():
         raise ValueError("block coefficients must be finite")
-    if not (blocks == blocks.swapaxes(2, 3)).all():
+    if not (blocks == blocks.swapaxes(3, 4)).all():
         raise ValueError("block matrix must be exactly symmetric")
     if (blocks < 0).any():
         raise ValueError("block coefficients must be nonnegative")
-    traces = blocks.trace(axis1=2, axis2=3).reshape(len(ds), -1, 2)
-    realized = (np.array(ds)[:, None] * traces[..., 0] + traces[..., 1]).ravel()
+    traces = blocks.trace(axis1=3, axis2=4)
+    realized = np.array(ds)[:, None] * traces[..., 0] + traces[..., 1]
     bad = np.flatnonzero(np.abs(realized - 1.0) > 2e-12)
     if bad.size:
-        raise ValueError(f"realized trace {realized[bad[0]]} != 1")
+        raise ValueError(f"realized trace {realized.flat[bad[0]]} != 1")
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class SwitchBlockMatrix:
         nf = math.factorial(self.n)
         if a.shape != (nf, nf) or b.shape != (nf, nf):
             raise ValueError(f"coefficient arrays must be {nf}x{nf}")
-        _check_blocks([self.d], np.stack([a, b])[None])
+        _check_blocks([self.d], np.stack([a, b])[None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> tuple[bool, int]:
 
 
 def _switch_blocks(n: int, ds: Sequence[int], q: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Control-weighted blocks [Gd*Gq*Gp, 2, n!, n!] (I then rho): ds by q [Gq, n] by probs [Gp, n!]
+    """Control-weighted blocks [Gd, Gq*Gp, 2, n!, n!] (I, rho) of ds by q [Gq, n] by probs [Gp, n!]
 
     Per d and q row, the subset weights multiply channel by channel and the subsets
     are added one by one in table order into each distinct column, so every
@@ -302,10 +302,9 @@ def _switch_blocks(n: int, ds: Sequence[int], q: np.ndarray, probs: np.ndarray) 
     for s, terms in enumerate(split.transpose(2, 0, 1, 3, 4)):  # [Gd, 1, 2, U] per subset
         sums += weight[..., s, None, None] * terms
     # Sums copied per control, then gathered: a broadcast density product page-faults each call.
-    sums = sums.reshape((-1,) + split.shape[3:])
-    blocks = np.take(np.repeat(sums, len(probs), axis=0), table.column, axis=2)
-    amps = np.tile(np.sqrt(probs), (len(sums), 1))[:, None]
-    blocks *= amps[..., None] * amps[..., None, :]  # each control's density
+    blocks = np.take(np.repeat(sums, len(probs), axis=1), table.column, axis=3)
+    amps = np.tile(np.sqrt(probs), (len(q), 1))[:, None]
+    blocks *= amps[..., None] * amps[..., None, :]  # each control's density, broadcast over d
     return blocks
 
 
@@ -323,16 +322,18 @@ def assemble_blocks(
     n, d = _channel_list(channels, MAX_ASSEMBLE_CHANNELS)
     if ctrl.n != n:
         raise ValueError(f"control is for {ctrl.n} channels, got {n}")
-    a, b = _switch_blocks(n, (d,), np.array([[ch.q for ch in channels]]), np.array([ctrl.probs]))[0]
+    q = np.array([[ch.q for ch in channels]])
+    a, b = _switch_blocks(n, (d,), q, np.array([ctrl.probs]))[0, 0]
     return SwitchBlockMatrix(n=n, d=d, a=a, b=b)
 
 
-def _closed_form_n2_blocks(q1, q2, prob1, prob2, d: int) -> np.ndarray:
-    """Two-channel blocks [G, 2, 2, 2] (I then rho) for G points given as arrays (or scalars).
+def _closed_form_n2_blocks(q1, q2, prob1, prob2, ds: Sequence[int]) -> np.ndarray:
+    """Two-channel blocks [Gd, G, 2, 2, 2] (I then rho) over ds for G points as arrays (or scalars).
 
     Each entry takes the operations of the expansion in ``closed_form_n2``
     in the same order, so every point is bitwise what it gives alone.
     """
+    d, prob1, prob2 = np.broadcast_arrays(np.array(ds)[:, None], prob1, prob2)  # all [Gd, G]
     p1, p2 = 1.0 - q1, 1.0 - q2
     r0 = p1 * p2
     r1 = q1 * p2 + q2 * p1
@@ -342,7 +343,7 @@ def _closed_form_n2_blocks(q1, q2, prob1, prob2, d: int) -> np.ndarray:
     b_off = cross * (r0 + d * d * r2) / d**2
     a = [[prob1 * (r0 + r1) / d, a_off], [a_off, prob2 * (r0 + r1) / d]]
     b = [[prob1 * r2, b_off], [b_off, prob2 * r2]]
-    return np.array([a, b]).reshape(2, 2, 2, -1).transpose(3, 0, 1, 2)
+    return np.array([a, b]).transpose(3, 4, 0, 1, 2)
 
 
 def closed_form_n2(q1: float, q2: float, ctrl: ControlSpec, d: int) -> SwitchBlockMatrix:
@@ -355,7 +356,8 @@ def closed_form_n2(q1: float, q2: float, ctrl: ControlSpec, d: int) -> SwitchBlo
     _check_transparencies((q1, q2))
     if ctrl.n != 2:
         raise ValueError("control must describe two channels")
-    a, b = _closed_form_n2_blocks(q1, q2, *ctrl.probs, d)[0]
+    d = _check_dimension(d)  # first: the expansion would compute with any d
+    a, b = _closed_form_n2_blocks(q1, q2, *ctrl.probs, [d])[0, 0]
     return SwitchBlockMatrix(n=2, d=d, a=a, b=b)
 
 
@@ -372,6 +374,7 @@ def closed_form_n3(
     _check_transparencies((q1, q2, q3))
     if ctrl.n != 3:
         raise ValueError("control must describe three channels")
+    d = _check_dimension(d)  # first: the expansion would compute with any d
     p1, p2, p3 = 1.0 - q1, 1.0 - q2, 1.0 - q3
     s0 = p1 * p2 * p3
     t1 = q1 * p2 * p3

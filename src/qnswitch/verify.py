@@ -173,9 +173,9 @@ def check_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
             points.append((chans, ctrl, ch.random_density(d, rng)))
         chan_sets, ctrls, rhos = zip(*points)  # the blocks: the 3 x 3 q-by-P grid's diagonal
         q = np.array([[c.q for c in chans] for chans in chan_sets])
-        blocks = sw._switch_blocks(n, (d,), q, np.array([c.probs for c in ctrls]))[::4]
+        blocks = sw._switch_blocks(n, (d,), q, np.array([c.probs for c in ctrls]))[:, ::4]
         sw._check_blocks([d], blocks)
-        for out, point in zip(sw._realize(blocks, np.array([r.entries for r in rhos])), points):
+        for out, point in zip(sw._realize(blocks[0], np.array([r.entries for r in rhos])), points):
             worst = max(worst, np.abs(out - sw.kraus_sum_output(*point)).max())
     return _result("assembled blocks vs brute-force sum", worst, 1e-10)
 
@@ -213,12 +213,10 @@ def check_min_entropy_consistency(rng: np.random.Generator) -> CheckResult:
     ch._check_transparencies((q1, q2))
     sw._check_probabilities(np.stack([p, 1.0 - p], axis=1), 2)
     ds = [2, 3]
-    d = np.repeat(ds, len(p))  # d slowest, as _block_entropies reads it
-    q1, q2, p = np.tile([q1, q2, p], len(ds))
-    blocks = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, d)
+    blocks = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, ds)
     sw._check_blocks(ds, blocks)
     h_min, _ = hv._block_entropies(ds, blocks)
-    worst = np.abs(h_min - hv._min_output_entropy_n2(q1, q2, p, d)).max()
+    worst = np.abs(h_min - hv._min_output_entropy_n2(q1, q2, p, ds)).max()
     return _result("closed-form vs eigensolver entropy", worst, 1e-10)
 
 

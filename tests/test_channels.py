@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnswitch.channels import (
     MAX_BASIS_DIMENSION,
+    MAX_DIMENSION,
     DensityMatrix,
     DepolarizingChannel,
     UnitaryBasis,
@@ -101,6 +104,40 @@ class TestDensityMatrix:
     def test_random_density_is_valid(self, rng):
         for d in (2, 3, 5):
             random_density(d, rng)
+
+    @pytest.mark.parametrize("index", [-1, 2, 5, 1.0, "1", None])
+    def test_basis_index_is_an_integer_below_d(self, index):
+        with pytest.raises(ValueError, match="basis index must be an integer in 0..1"):
+            DensityMatrix.basis_state(2, index)
+
+    @pytest.mark.parametrize("d", [0, 1, 2.5, math.nan, "2", None])
+    def test_constructors_apply_the_dimension_rule(self, d, rng):
+        for make in (
+            DensityMatrix.basis_state,
+            DensityMatrix.maximally_mixed,
+            lambda d: random_density(d, rng),
+        ):
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                make(d)
+            # Refused before anything d x d is allocated.
+            with pytest.raises(SizeLimitError, match="dimension"):
+                make(MAX_DIMENSION + 1)
+
+    def test_random_density_checks_d_before_it_draws(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError):
+            random_density(1, rng)
+        expected = random_density(3, np.random.default_rng(7)).entries
+        assert random_density(3, rng).entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "vector", [[0, 0], [], [0.0, math.nan], [math.inf, 1.0]],
+        ids=["zero", "empty", "nan", "inf"],
+    )
+    def test_pure_refuses_a_zero_or_non_finite_vector(self, vector):
+        # Refused before dividing by the norm, so no RuntimeWarning is raised.
+        with pytest.raises(ValueError, match="finite nonzero vector"):
+            DensityMatrix.pure(vector)
 
 
 class TestApplyDepolarizing:

@@ -824,8 +824,8 @@ class TestVerifyGatesTheSweepStages:
     @staticmethod
     def scale_one_pair(factor):
         def scale(blocks):
-            blocks[:, 0, 0, 1] *= factor  # one off-diagonal a pair, kept symmetric
-            blocks[:, 0, 1, 0] *= factor
+            blocks[..., 0, 0, 1] *= factor  # one off-diagonal a pair, kept symmetric
+            blocks[..., 0, 1, 0] *= factor
             return blocks
 
         return scale

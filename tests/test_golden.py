@@ -129,9 +129,9 @@ def test_sweep_bytes_when_one_q_row_spans_batches(tmp_path, monkeypatch):
     real = cli.holevo_batch
     shapes = set()
 
-    def recording(n, d, q, probs):
-        shapes.add((d, len(q), len(probs)))
-        return real(n, d, q, probs)
+    def recording(n, ds, q, probs):
+        shapes.add((*ds, len(q), len(probs)))
+        return real(n, ds, q, probs)
 
     monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", 36)
     monkeypatch.setattr(cli, "holevo_batch", recording)

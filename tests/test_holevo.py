@@ -250,7 +250,7 @@ _UNIT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 def test_two_channel_entropy_kernel_is_the_per_point_call(points, d):
     # np.log2 and math.log2 differ by an ulp on a few inputs, so the scalar
     # expansion is matched within 1e-14 and the per-point call bitwise.
-    stack = _min_output_entropy_n2(*np.array(points).T, d)
+    stack = _min_output_entropy_n2(*np.array(points).T, [d])[0]
     single = np.array([min_output_entropy_n2(*point, d) for point in points])
     assert stack.tobytes() == single.tobytes()
     for value, point in zip(stack.tolist(), points):
@@ -450,8 +450,8 @@ def test_batch_is_bitwise_the_per_point_path(n, d, data):
         kind = data.draw(st.sampled_from(["uniform", "definite", "partly zero"]), label="P")
         raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=nf, max_size=nf), label="raw")
         controls.append(_control(n, kind, raw))
-    h_min, h_control, chi = holevo_batch(n, d, qs, controls)
-    assert h_min.shape == h_control.shape == chi.shape == (len(qs), len(controls))
+    h_min, h_control, chi = holevo_batch(n, [d], qs, controls)
+    assert h_min.shape == h_control.shape == chi.shape == (1, len(qs), len(controls))
     for (i, q), (j, probs) in product(enumerate(qs), enumerate(controls)):
         sbm = _per_point_blocks(n, d, q, probs)
         built = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(n, probs))
@@ -459,7 +459,7 @@ def test_batch_is_bitwise_the_per_point_path(n, d, data):
         ref_min = min_output_entropy(sbm)
         ref_control = _reference_entropy(np.linalg.eigvalsh(control_marginal(sbm)))
         ref_chi = math.log2(d) + ref_control - ref_min
-        got = (h_min[i, j], h_control[i, j], chi[i, j])
+        got = (h_min[0, i, j], h_control[0, i, j], chi[0, i, j])
         assert np.array(got).tobytes() == np.array([ref_min, ref_control, ref_chi]).tobytes()
 
 
@@ -512,9 +512,9 @@ def test_d_axis_is_bitwise_the_stack_of_per_d_calls(n):
     controls = [_control(n, kind, np.linspace(0.2, 1.0, nf)) for kind in ("uniform", "partly zero")]
     controls += [_control(n, "definite", [0.0]), _control(n, "definite", [0.99])]
     batch = holevo_batch(n, D_AXIS, qs, controls)
-    for got, per_d in zip(batch, zip(*(holevo_batch(n, d, qs, controls) for d in D_AXIS))):
+    for got, per_d in zip(batch, zip(*(holevo_batch(n, [d], qs, controls) for d in D_AXIS))):
         assert got.shape == (len(D_AXIS), len(qs), len(controls))
-        assert got.tobytes() == np.stack(per_d).tobytes()
+        assert got.tobytes() == np.concatenate(per_d).tobytes()
     assert batch[2].tobytes() == holevo_batch(n, np.array(D_AXIS), qs, controls)[2].tobytes()
 
 
@@ -526,7 +526,7 @@ def test_powers_of_d_are_pythons(n):
     q = tuple(np.linspace(0.2, 0.7, n))
     probs = ControlSpec.uniform(n).probs
     sbm = _per_point_blocks(n, 55, q, probs)
-    built = sw._switch_blocks(n, [2, 55], np.array([q]), np.array([probs]))[1]
+    built = sw._switch_blocks(n, [2, 55], np.array([q]), np.array([probs]))[1, 0]
     assert built.tobytes() == np.stack([sbm.a, sbm.b]).tobytes()
     h_min = holevo_batch(n, [2, 55], [q], [probs])[0][1, 0, 0]
     assert h_min.tobytes() == np.float64(min_output_entropy(sbm)).tobytes()
@@ -547,12 +547,31 @@ def test_an_empty_d_sequence_is_rejected(ds):
         holevo_batch(2, ds, [(0.5, 0.5)], [(0.5, 0.5)])
 
 
+@pytest.mark.parametrize(
+    "ds,message",
+    [
+        (2, "a sequence of at least one dimension"),
+        (np.int64(3), "a sequence of at least one dimension"),
+        (np.array(3), "a sequence of at least one dimension"),
+        ("23", "a sequence of at least one dimension"),
+        ([[2, 3]], "dimension must be an integer"),
+        (np.array([[2], [3]]), "dimension must be an integer"),
+    ],
+    ids=["int", "numpy int", "0-d array", "str", "2-D list", "2-D array"],
+)
+def test_d_is_a_one_dimensional_sequence(ds, message):
+    # holevo_batch has one call form: a scalar d is refused, not read as a one-d axis,
+    # and a 2-D d fails the dimension rule on its rows.
+    with pytest.raises(ValueError, match=message):
+        holevo_batch(2, ds, [(0.5, 0.5)], [(0.5, 0.5)])
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_two_channel_batch_matches_closed_forms(d):
     grid = np.linspace(0.0, 1.0, 6)
     qs = list(product(grid, grid))
     ps = (0.0, 0.2, 0.5, 0.9, 1.0)
-    h_min, h_control, chi = holevo_batch(2, d, qs, [(p, 1.0 - p) for p in ps])
+    h_min, h_control, chi = (v[0] for v in holevo_batch(2, [d], qs, [(p, 1.0 - p) for p in ps]))
     assert chi.shape == (len(qs), len(ps))
     for (i, (q1, q2)), (j, p) in product(enumerate(qs), enumerate(ps)):
         closed = closed_form_n2(q1, q2, ControlSpec(2, (p, 1.0 - p)), d)
@@ -577,12 +596,12 @@ class TestHolevoBatchArguments:
             (ok_q, [(0.7, 0.7)], "sum to 1"),
         ):
             with pytest.raises(ValueError, match=message):
-                holevo_batch(2, 2, q, probs)
+                holevo_batch(2, [2], q, probs)
 
     @pytest.mark.parametrize("q", [(0.5, 0.5), [[(0.5, 0.5)]], 0.5])
     def test_rejects_q_that_is_not_a_table(self, q):
         with pytest.raises(ValueError, match="shape"):
-            holevo_batch(2, 2, q, [(0.5, 0.5)])
+            holevo_batch(2, [2], q, [(0.5, 0.5)])
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -592,26 +611,27 @@ class TestHolevoBatchArguments:
         # Every control row is checked, not only the first: the bad one is last.
         qs = [(0.5, 0.5), (0.1, 0.9)]
         with pytest.raises(ValueError, match=message):
-            holevo_batch(2, 2, qs, [(0.5, 0.5), (0.2, 0.8), bad])
+            holevo_batch(2, [2], qs, [(0.5, 0.5), (0.2, 0.8), bad])
 
     # Every entry point that takes d applies the one dimension rule.
     TAKES_D = (
-        lambda d: holevo_batch(2, d, [(0.5, 0.5)], [(0.5, 0.5)]),
         lambda d: holevo_batch(2, [d], [(0.5, 0.5)], [(0.5, 0.5)]),  # d as a one-entry d axis
         lambda d: holevo_information(2, d, (0.5, 0.5), (0.5, 0.5)),
         lambda d: DepolarizingChannel(0.5, d),
         weyl_basis,
         lambda d: kraus_set(0.5, d),
         lambda d: min_output_entropy_n2(0.5, 0.5, 0.5, d),
+        lambda d: closed_form_n2(0.5, 0.5, ControlSpec.uniform(2), d),
+        lambda d: closed_form_n3(0.5, 0.5, 0.5, ControlSpec.uniform(3), d),
         # a = 0 and a unit-trace b pass every block test at any d.
         lambda d: SwitchBlockMatrix(n=2, d=d, a=np.zeros((2, 2)), b=np.eye(2) / 2),
     )
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(SizeLimitError):
-            holevo_batch(6, 2, [(0.5,) * 6], [(1.0 / 720,) * 720])
+            holevo_batch(6, [2], [(0.5,) * 6], [(1.0 / 720,) * 720])
         with pytest.raises(ValueError):
-            holevo_batch(0, 2, [()], [(1.0,)])
+            holevo_batch(0, [2], [()], [(1.0,)])
         for make in self.TAKES_D:
             for d in (1, 1.5, 2.5, math.nan, math.inf):
                 with pytest.raises(ValueError, match="dimension"):
@@ -626,12 +646,7 @@ class TestHolevoBatchArguments:
     def test_non_number_dimension_is_a_value_error(self, d):
         # A d that cannot be compared with the cap is a ValueError, not a TypeError,
         # and the rule runs before weyl_basis's cache hashes d.
-        batch, *makes = self.TAKES_D
-        if d == [2]:  # holevo_batch's d axis, with one d
-            assert [v.shape for v in batch(d)] == [(1, 1, 1)] * 3
-        else:
-            makes.insert(0, batch)
-        for make in makes:
+        for make in self.TAKES_D:
             with pytest.raises(ValueError, match="dimension must be an integer"):
                 make(d)
 
@@ -651,7 +666,7 @@ class TestHolevoBatchArguments:
             lambda q: kraus_set(q, 2),
             lambda q: apply_depolarizing(DensityMatrix.maximally_mixed(2), q),
             lambda q: min_output_entropy_n2(q, 0.5, 0.5, 2),
-            lambda q: holevo_batch(2, 2, [(0.5, q)], [(0.5, 0.5)]),
+            lambda q: holevo_batch(2, [2], [(0.5, q)], [(0.5, 0.5)]),
             lambda q: closed_form_n2(q, 0.5, ControlSpec.uniform(2), 2),
             lambda q: closed_form_n3(0.5, 0.5, q, ControlSpec.uniform(3), 2),
         ):
@@ -661,9 +676,9 @@ class TestHolevoBatchArguments:
     @pytest.mark.parametrize(
         "entries,factor,message",
         [
-            ([(1, 0, 0, 1)], 2.0, "symmetric"),
-            ([(1, 1, 0, 1), (1, 1, 1, 0)], -1.0, "nonnegative"),
-            ([(2, 0, 0, 0)], 2.0, "trace"),
+            ([(0, 1, 0, 0, 1)], 2.0, "symmetric"),
+            ([(0, 1, 1, 0, 1), (0, 1, 1, 1, 0)], -1.0, "nonnegative"),
+            ([(0, 2, 0, 0, 0)], 2.0, "trace"),
         ],
     )
     def test_block_checks_cover_every_row(self, monkeypatch, entries, factor, message):
@@ -673,13 +688,13 @@ class TestHolevoBatchArguments:
 
         def corrupted(*args):
             coeff = real(*args)
-            for index in entries:  # (point, I or rho, k, k')
+            for index in entries:  # (d, point, I or rho, k, k')
                 coeff[index] *= factor
             return coeff
 
         monkeypatch.setattr(hv, "_switch_blocks", corrupted)
         with pytest.raises(ValueError, match=message):
-            holevo_batch(3, 2, [(0.1, 0.2, 0.3)] * 3, [ControlSpec.uniform(3).probs] * 3)
+            holevo_batch(3, [2], [(0.1, 0.2, 0.3)] * 3, [ControlSpec.uniform(3).probs] * 3)
 
     def test_negative_eigenvalue_in_one_row_raises(self, monkeypatch):
         import qnswitch.holevo as hv
@@ -688,9 +703,9 @@ class TestHolevoBatchArguments:
 
         def second_row_negative(m):
             vals = real(m)
-            vals[1, 0] = -1e-3
+            vals[1, 0, 0] = -1e-3
             return vals
 
         monkeypatch.setattr(hv.np.linalg, "eigvalsh", second_row_negative)
         with pytest.raises(NumericalError, match="negative eigenvalue"):
-            holevo_batch(3, 2, [(0.1, 0.2, 0.3)] * 3, [ControlSpec.uniform(3).probs] * 3)
+            holevo_batch(3, [2], [(0.1, 0.2, 0.3)] * 3, [ControlSpec.uniform(3).probs] * 3)

@@ -28,7 +28,7 @@ from qnswitch.switch import (
     _loop_rule,
 )
 from qnswitch.holevo import holevo_batch, holevo_information, min_output_entropy
-from qnswitch.symgroup import Permutation, ZeroSubset, enumerate_orders, zero_subsets
+from qnswitch.symgroup import Permutation, ZeroSubset, _ranks, enumerate_orders, zero_subsets
 from qnswitch.verify import CONTRACTION_TABLE_N2, CONTRACTION_TABLE_N3
 
 
@@ -81,7 +81,7 @@ class TestControlSpec:
             lambda n: ZeroSubset(n, ()),
             lambda n: SwitchBlockMatrix(n=n, d=2, a=np.zeros((2, 2)), b=np.eye(2) / 2),
             lambda n: contract_pair(1, 1, ZeroSubset(n, ())),
-            lambda n: holevo_batch(n, 2, [(0.5, 0.5)], [(0.5, 0.5)]),
+            lambda n: holevo_batch(n, [2], [(0.5, 0.5)], [(0.5, 0.5)]),
             lambda n: holevo_information(n, 2, (0.5, 0.5), (0.5, 0.5)),
         ):
             with pytest.raises(ValueError, match="must be an integer"):
@@ -134,7 +134,7 @@ class TestChannelCountRule:
             ),
             pytest.param(lambda n: contract_pair(1, 1, ZeroSubset(n, ())), 5, id="contract_pair"),
             pytest.param(
-                lambda n: holevo_batch(n, 2, [(0.5, 0.5)], [(0.5, 0.5)]), 5, id="holevo_batch"
+                lambda n: holevo_batch(n, [2], [(0.5, 0.5)], [(0.5, 0.5)]), 5, id="holevo_batch"
             ),
             pytest.param(
                 lambda n: holevo_information(n, 2, (0.5, 0.5), (0.5, 0.5)), 5,
@@ -188,7 +188,8 @@ class TestBlockTypes:
             chi = holevo_batch(3, [2, 3], [(0.5,) * 3], [probs, ctrl.probs])[2]
             assert np.isfinite(chi).all()
         sbm = assemble_blocks(channels_for([0.5] * 3, 2), ctrl)
-        assert min_output_entropy(sbm) == holevo_batch(3, 2, [(0.5,) * 3], [ctrl.probs])[0][0, 0]
+        h_min = holevo_batch(3, [2], [(0.5,) * 3], [ctrl.probs])[0]
+        assert min_output_entropy(sbm) == h_min[0, 0, 0]
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_rounding_stays_far_inside_the_trace_margin(self, n):
@@ -197,7 +198,7 @@ class TestBlockTypes:
         rng = np.random.default_rng(n)
         probs = rng.dirichlet(np.ones(math.factorial(n)), size=4) * (1.0 + 9e-13)
         for d in (2, 55, 1 << 15):
-            blocks = sw._switch_blocks(n, [d], rng.uniform(size=(4, n)), probs)
+            blocks = sw._switch_blocks(n, [d], rng.uniform(size=(4, n)), probs)[0]
             traces = blocks.trace(axis1=2, axis2=3)
             realized = (d * traces[:, 0] + traces[:, 1]).reshape(4, 4)
             assert np.abs(realized - [math.fsum(p) for p in probs]).max() < 2e-14
@@ -400,7 +401,7 @@ unit_interval = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 )
 def test_two_channel_kernel_is_bitwise_the_scalar_expansion(points, d):
     q1, q2, p = np.array(points).T
-    stack = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, d)
+    stack = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, [d])[0]
     assert stack.shape == (len(points), 2, 2, 2)
     for blocks, (x1, x2, y) in zip(stack, points):
         ctrl = ControlSpec(2, (y, 1.0 - y))
@@ -609,6 +610,26 @@ class TestContractionTable:
             words = (_restrict(orders[label], table.subsets[s]) for label in (k, kp))
             column = table.column[k, kp]
             assert (table.identity[s, column], table.power[s, column]) == _loop_rule(*words)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_order_reversal_permutes_the_blocks(self, n):
+        # Reversing every causal order is no relabeling of the channels, so it checks the
+        # base-row gather independently: with order rev(k) given the weight of order k,
+        # block (rev(k), rev(k')) is block (k, k'), bitwise, for any q and control.
+        rng = np.random.default_rng(n)
+        nf = math.factorial(n)
+        rev = _ranks(np.array([p.image for p in enumerate_orders(n)])[:, ::-1])
+        probs = np.zeros((3, nf))
+        probs[0] = rng.dirichlet(np.ones(nf))
+        for row in probs[1:]:  # zero weight on about half of the orders
+            kept = rng.permutation(nf)[: (nf + 1) // 2]
+            row[kept] = rng.dirichlet(np.ones(len(kept)))
+        reversed_probs = np.empty_like(probs)
+        reversed_probs[:, rev] = probs
+        q = rng.uniform(size=(3, n))
+        blocks = sw._switch_blocks(n, [2, 3, 7], q, probs)
+        reversed_blocks = sw._switch_blocks(n, [2, 3, 7], q, reversed_probs)
+        assert reversed_blocks[..., rev[:, None], rev].tobytes() == blocks.tobytes()
 
     def test_refuses_more_channels_before_any_work(self, monkeypatch):
         # The cap applies inside the cached builder itself, not only in its callers.
