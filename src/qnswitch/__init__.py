@@ -15,13 +15,7 @@ from .channels import (
     weyl_basis,
 )
 from .errors import NumericalError, SizeLimitError
-from .holevo import (
-    HolevoReport,
-    holevo_information,
-    min_output_entropy,
-    min_output_entropy_n2,
-    von_neumann_entropy,
-)
+from .holevo import holevo_batch, min_output_entropy_n2
 from .switch import (
     ControlSpec,
     SwitchBlockMatrix,
@@ -29,7 +23,6 @@ from .switch import (
     closed_form_n2,
     closed_form_n3,
     completeness_defect,
-    contract_pair,
     kraus_sum_output,
     realize,
 )
@@ -47,7 +40,6 @@ __all__ = [
     "ControlSpec",
     "DensityMatrix",
     "DepolarizingChannel",
-    "HolevoReport",
     "NumericalError",
     "Permutation",
     "SizeLimitError",
@@ -59,16 +51,13 @@ __all__ = [
     "closed_form_n2",
     "closed_form_n3",
     "completeness_defect",
-    "contract_pair",
     "enumerate_orders",
-    "holevo_information",
+    "holevo_batch",
     "kraus_set",
     "kraus_sum_output",
-    "min_output_entropy",
     "min_output_entropy_n2",
     "random_density",
     "realize",
-    "von_neumann_entropy",
     "weyl_basis",
     "zero_subsets",
 ]

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .symgroup import MAX_ORDER_CHANNELS, Permutation, _check_channel_count, apply_order
+from .symgroup import MAX_ORDER_CHANNELS, _check_channel_count
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -181,13 +181,6 @@ def _weyl_basis(d: int) -> UnitaryBasis:
     return UnitaryBasis(d=d, elements=tuple(elements))
 
 
-def apply_depolarizing(rho: DensityMatrix, q: float) -> DensityMatrix:
-    """Send rho to q*rho + (1-q)*I/d."""
-    _check_transparencies(q)
-    d = rho.d
-    return DensityMatrix(q * rho.entries + (1.0 - q) * np.eye(d) / d)
-
-
 def kraus_set(q: float, d: int) -> list[np.ndarray]:
     """Kraus operators of the depolarizing channel, indexed 0..d^2.
 
@@ -211,25 +204,3 @@ def _channel_list(
     if any(ch.d != d for ch in channels):
         raise ValueError("all channels must share one dimension")
     return len(channels), d
-
-
-def compose_definite(
-    channels: Sequence[DepolarizingChannel],
-    p: Permutation,
-    rho: DensityMatrix,
-) -> DensityMatrix:
-    """Apply the channels to rho in the definite causal order p.
-
-    The rearranged sequence reads as an operator product, so its last
-    element acts first. Depolarizing channels commute as maps, hence the
-    result equals a single depolarizing channel of transparency prod(q_j).
-    """
-    n, d = _channel_list(channels)
-    if n != p.n:
-        raise ValueError(f"expected {p.n} channels, got {n}")
-    if d != rho.d:
-        raise ValueError(f"channel dimension {d} != state dimension {rho.d}")
-    out = rho
-    for ch in reversed(apply_order(p, list(channels))):
-        out = apply_depolarizing(out, ch.q)
-    return out

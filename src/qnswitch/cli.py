@@ -116,7 +116,7 @@ def _grid_spec(
     q_axes = tuple(tuple(axis) for axis in q_axes)
     _check_transparencies(list(chain(*q_axes)))
     if not linked and len(q_axes) != n:
-        raise ValueError(f"expected {n} per-channel q lists, got {len(q_axes)}")
+        raise ValueError(f"expected one q per channel (n={n}), got {len(q_axes)}")
     channel_axis = (0,) * n if linked else tuple(range(n))
     p_vectors = tuple(_resolve_probs(text, n) for text in p_texts)
     return SweepSpec(n, d_values, q_axes, channel_axis, p_vectors)

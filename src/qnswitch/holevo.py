@@ -5,45 +5,25 @@ is the minimum output entropy over target states; by concavity it is
 attained on pure states aligned with a basis vector, so the block structure
 reduces it to two n! x n! eigenproblems (target eigenvalue 1 and 0).
 
-``holevo_batch`` is the one evaluation path for every N: a sequence of d by a grid of q rows by
-control rows ([Gd, Gq, Gp]; d is axis 0 of every block stack), ``switch``'s block stage, then one
-spectral stage solving their stacked a + b, a and control marginal d*a + b in one eigensolve,
-every value bitwise what the point gives alone. ``holevo_information`` (a 1 x 1 x 1 grid) and
-``min_output_entropy`` share them; the N = 2 closed forms check them.
+``holevo_batch`` is the package's one evaluation call, the same path for every N: a sequence
+of d by a grid of q rows by control rows ([Gd, Gq, Gp]; d is axis 0 of every block stack),
+``switch``'s block stage, then one spectral stage solving their stacked a + b, a and control
+marginal d*a + b in one eigensolve, every value bitwise what the point gives alone. A single
+point is the 1 x 1 x 1 grid; the N = 2 closed form ``min_output_entropy_n2`` checks it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityMatrix, _check_dimension, _check_transparencies
+from .channels import _check_dimension, _check_transparencies
 from .errors import NumericalError
-from .switch import (
-    MAX_ASSEMBLE_CHANNELS,
-    SwitchBlockMatrix,
-    _check_blocks,
-    _check_probabilities,
-    _switch_blocks,
-)
+from .switch import MAX_ASSEMBLE_CHANNELS, _check_blocks, _check_probabilities, _switch_blocks
 from .symgroup import _check_channel_count
 
 EIGENVALUE_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class HolevoReport:
-    """Inputs and the resulting entropies, in bits."""
-
-    n: int
-    d: int
-    q: tuple[float, ...]
-    probs: tuple[float, ...]
-    h_min: float
-    h_control: float
-    chi: float
 
 
 def _spectrum(matrix: np.ndarray) -> np.ndarray:
@@ -51,27 +31,6 @@ def _spectrum(matrix: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on a {matrix.shape} stack: {exc}") from exc
-
-
-def von_neumann_entropy(matrix: np.ndarray) -> float:
-    """Entropy in bits of a matrix that passes the ``DensityMatrix`` rule.
-
-    The spectrum is taken of the matrix as given, so a real input stays real.
-    """
-    DensityMatrix(matrix)
-    return float(_entropy_rows(_spectrum(np.asarray(matrix))[None])[0])
-
-
-def min_output_entropy(sbm: SwitchBlockMatrix) -> float:
-    """Minimum output entropy over target states, in bits.
-
-    Substituting a one-hot target spectrum turns the block matrix into a
-    pencil of n! x n! matrices: entrywise a + b at the populated eigenvector
-    and plain a at each of the d-1 empty ones. The output spectrum is the
-    union of their eigenvalues with multiplicities 1 and d-1.
-    """
-    h_min, _ = _block_entropies([sbm.d], np.stack([sbm.a, sbm.b])[None, None])
-    return float(h_min[0, 0])
 
 
 def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
@@ -148,11 +107,19 @@ def _block_entropies(ds: list[int], blocks: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def holevo_batch(n: int, ds, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h_min, h_control, chi) in bits, each [Gd, Gq, Gp], over a sequence ds of Gd dimensions.
+    """(h_min, h_control, chi) in bits at every point of a d by q by control grid.
 
-    ``q`` holds Gq rows of n transparencies and ``probs`` Gp rows of n! order
-    probabilities; at each d, every pair is a point. Each d and each row is
-    checked once, and each point as ``SwitchBlockMatrix`` checks a single one.
+    ``ds`` is a nonempty 1-D sequence of Gd dimensions, ``q`` holds Gq rows of n
+    transparencies ([Gq, n]) and ``probs`` Gp rows of n! order probabilities ([Gp, n!]).
+    Each result is [Gd, Gq, Gp]: entry [i, j, k] is the point (ds[i], q[j], probs[k]), and
+    a single point is ``holevo_batch(n, [d], [q], [probs])`` read at [0, 0, 0]. Either grid
+    may have no rows. Each d and each row is checked once, and each point as
+    ``SwitchBlockMatrix`` checks a single one.
+
+    Raises SizeLimitError if n is outside 1..MAX_ASSEMBLE_CHANNELS or a d is over
+    MAX_DIMENSION, ValueError for any other bad n, ds, q or probs and for blocks that
+    ``SwitchBlockMatrix`` rejects, and NumericalError if the eigensolver fails or returns
+    an eigenvalue below -EIGENVALUE_SLACK.
     """
     _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)
     if np.ndim(ds) == 0 or not len(ds):
@@ -166,19 +133,7 @@ def holevo_batch(n: int, ds, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarr
     _check_probabilities(probs, n)
     blocks = _switch_blocks(n, ds, q, probs)
     _check_blocks(ds, blocks)
-    h_min, h_control = (v.reshape(len(ds), len(q), -1) for v in _block_entropies(ds, blocks))
+    shape = len(ds), len(q), len(probs)
+    h_min, h_control = (v.reshape(shape) for v in _block_entropies(ds, blocks))
     chi = np.array([math.log2(v) for v in ds])[:, None, None] + h_control - h_min
     return h_min, h_control, chi
-
-
-def holevo_information(n: int, d: int, q, probs) -> HolevoReport:
-    """Holevo information chi = log2(d) + H(control marginal) - H_min.
-
-    The single-point form of ``holevo_batch``.
-    """
-    q = tuple(float(x) for x in q)
-    probs = tuple(float(x) for x in probs)
-    h_min, h_control, chi = (float(v[0, 0, 0]) for v in holevo_batch(n, [d], [q], [probs]))
-    return HolevoReport(
-        n=n, d=d, q=q, probs=probs, h_min=h_min, h_control=h_control, chi=chi
-    )

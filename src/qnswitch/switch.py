@@ -14,9 +14,9 @@ a*I + b*rho with nonnegative coefficients. The module provides
   wires adds a factor d,
 * ``contraction_table``, the rule tabulated once per N <= 5 as the
   distinct columns of (word is I, power) pairs over the A_z and the column
-  of each (k, k'), read by ``contract_pair``; the one block stage, behind
-  ``holevo_batch`` and ``assemble_blocks``, sums the weighted A_z once per
-  distinct column, gathers the exact blocks and weights them by sqrt(P_k P_k'),
+  of each (k, k'); the one block stage, behind ``holevo_batch`` and
+  ``assemble_blocks``, sums the weighted A_z once per distinct column,
+  gathers the exact blocks and weights them by sqrt(P_k P_k'),
 * hand-expanded closed forms for N = 2 and N = 3,
 * a brute-force reference (``kraus_sum_output``) that sums the generalized
   Kraus operators over at most TUPLE_BUDGET (order, index tuple) pairs, one Gram
@@ -37,9 +37,7 @@ from .channels import (
     kraus_set,
 )
 from .errors import SizeLimitError
-from .symgroup import (
-    ZeroSubset, _check_channel_count, _ranks, apply_order, enumerate_orders, zero_subsets
-)
+from .symgroup import _check_channel_count, _ranks, apply_order, enumerate_orders, zero_subsets
 
 # Hard caps: the brute-force sums multiply out n! (d^2+1)^n (order, index
 # tuple) pairs, the block assembly runs over n!^2 causal-order pairs.
@@ -256,21 +254,6 @@ def contraction_table(n: int) -> ContractionTable:
     for array in arrays:
         array.setflags(write=False)
     return ContractionTable(subsets, *arrays)
-
-
-def contract_pair(k: int, kp: int, zeros: ZeroSubset) -> tuple[bool, int]:
-    """Contract the summed word of causal-order pair (k, k') for subset A_z.
-
-    Slots in ``zeros`` carry the identity, the others are summed over the
-    unitary basis. Returns (word is I, power of d) like ``_loop_rule``, read
-    through the pair's column of ``contraction_table(zeros.n)``.
-    """
-    _check_channel_count(zeros.n, MAX_ASSEMBLE_CHANNELS)  # the table grows as 2^n n!^2
-    for label in (k, kp):
-        _check_order_label(zeros.n, label)
-    table = contraction_table(zeros.n)
-    at = (table.subsets.index(zeros.members), table.column[k - 1, kp - 1])
-    return bool(table.identity[at]), int(table.power[at])
 
 
 # ---------------------------------------------------------------------------

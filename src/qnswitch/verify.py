@@ -19,7 +19,7 @@ import numpy as np
 from . import channels as ch
 from . import holevo as hv
 from . import switch as sw
-from .symgroup import ZeroSubset, _ranks, apply_order, enumerate_orders, zero_subsets
+from .symgroup import _ranks, apply_order, enumerate_orders, zero_subsets
 
 # ---------------------------------------------------------------------------
 # Frozen contraction tables: zero-subset members -> {(k, k'): (word is I, power)}.
@@ -181,11 +181,13 @@ def check_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
 
 
 def check_contraction_tables(rng: np.random.Generator) -> CheckResult:
-    for n, table in ((2, CONTRACTION_TABLE_N2), (3, CONTRACTION_TABLE_N3)):
-        for members, pairs in table.items():
-            zeros = ZeroSubset(n, members)
+    for n, frozen in ((2, CONTRACTION_TABLE_N2), (3, CONTRACTION_TABLE_N3)):
+        table = sw.contraction_table(n)
+        for members, pairs in frozen.items():
+            s = table.subsets.index(members)
             for (k, kp), expected in pairs.items():
-                term = sw.contract_pair(k, kp, zeros)
+                u = table.column[k - 1, kp - 1]
+                term = (bool(table.identity[s, u]), int(table.power[s, u]))
                 if term != expected:
                     return CheckResult(
                         "contraction tables",

@@ -12,22 +12,15 @@ import numpy as np
 import pytest
 
 from qnswitch.channels import DepolarizingChannel, random_density
-from qnswitch.holevo import (
-    holevo_information,
-    min_output_entropy,
-    min_output_entropy_n2,
-)
+from qnswitch.holevo import holevo_batch, min_output_entropy_n2
 from qnswitch.switch import (
     ControlSpec,
     assemble_blocks,
-    closed_form_n2,
-    closed_form_n3,
     completeness_defect,
-    contract_pair,
+    contraction_table,
     kraus_sum_output,
     realize,
 )
-from qnswitch.symgroup import ZeroSubset
 from qnswitch.verify import CONTRACTION_TABLE_N2, CONTRACTION_TABLE_N3
 
 # chi for 2 and 3 fully depolarizing channels, uniform control, d = 2..10,
@@ -67,9 +60,10 @@ def test_criterion_1_published_chi_table():
     with criterion("1: chi table for d=2..10 and the ratio mean"):
         start = time.monotonic()
         ratios = []
-        for d, (chi2_ref, chi3_ref) in PUBLISHED_CHI.items():
-            chi2 = holevo_information(2, d, (0.0, 0.0), (0.5, 0.5)).chi
-            chi3 = holevo_information(3, d, (0.0,) * 3, (1.0 / 6,) * 6).chi
+        dims = list(PUBLISHED_CHI)
+        chis2 = holevo_batch(2, dims, [(0.0, 0.0)], [(0.5, 0.5)])[2][:, 0, 0]
+        chis3 = holevo_batch(3, dims, [(0.0,) * 3], [(1.0 / 6,) * 6])[2][:, 0, 0]
+        for (d, (chi2_ref, chi3_ref)), chi2, chi3 in zip(PUBLISHED_CHI.items(), chis2, chis3):
             assert chi2 == pytest.approx(chi2_ref, abs=1e-3), f"chi_q2s at d={d}"
             assert chi3 == pytest.approx(chi3_ref, abs=1e-3), f"chi_q3s at d={d}"
             ratios.append(chi3 / chi2)
@@ -80,15 +74,17 @@ def test_criterion_1_published_chi_table():
 
 def test_criterion_2_spot_value_decomposition():
     with criterion("2: chi = log2(2) + 0.9544 - 1.9056 at d=2, q=0, p=1/2"):
-        rep = holevo_information(2, 2, (0.0, 0.0), (0.5, 0.5))
-        assert rep.chi == pytest.approx(0.0487, abs=5e-4)
+        h_min, h_control, chi = (
+            float(v[0, 0, 0]) for v in holevo_batch(2, [2], [(0.0, 0.0)], [(0.5, 0.5)])
+        )
+        assert chi == pytest.approx(0.0487, abs=5e-4)
         control_eigs = [0.625, 0.375]
         output_eigs = [0.25, 0.25, 0.375, 0.125]
-        assert rep.h_control == pytest.approx(entropy_of(control_eigs), abs=1e-12)
-        assert rep.h_min == pytest.approx(entropy_of(output_eigs), abs=1e-12)
-        assert rep.h_control == pytest.approx(0.9544, abs=1e-3)
-        assert rep.h_min == pytest.approx(1.9056, abs=1e-3)
-        assert rep.chi == pytest.approx(1.0 + 0.9544 - 1.9056, abs=1e-3)
+        assert h_control == pytest.approx(entropy_of(control_eigs), abs=1e-12)
+        assert h_min == pytest.approx(entropy_of(output_eigs), abs=1e-12)
+        assert h_control == pytest.approx(0.9544, abs=1e-3)
+        assert h_min == pytest.approx(1.9056, abs=1e-3)
+        assert chi == pytest.approx(1.0 + 0.9544 - 1.9056, abs=1e-3)
 
 
 def test_criterion_3_closed_form_consistency():
@@ -99,16 +95,17 @@ def test_criterion_3_closed_form_consistency():
                 - math.log2((d + 1) / (d - 1)) / (2 * d**2)
                 - math.log2(1 - 1 / d**2) / (2 * d)
             )
-            ctrl = ControlSpec(2, (0.5, 0.5))
-            generic = min_output_entropy(closed_form_n2(0.0, 0.0, ctrl, d))
+            generic = holevo_batch(2, [d], [(0.0, 0.0)], [(0.5, 0.5)])[0][0, 0, 0]
             assert abs(corner - generic) < 1e-10
             assert abs(min_output_entropy_n2(0.0, 0.0, 0.5, d) - generic) < 1e-10
-            for q2 in np.linspace(0.0, 1.0, 5):
+            q2s = np.linspace(0.0, 1.0, 5)
+            ps = (0.25, 0.5)
+            h_min = holevo_batch(2, [d], [(1.0, q2) for q2 in q2s], [(p, 1.0 - p) for p in ps])[0]
+            for i, q2 in enumerate(q2s):
                 p2 = 1.0 - q2
                 two_term = -((d - 1) * xlog2x(p2 / d) + xlog2x(p2 / d + q2))
-                for p in (0.25, 0.5):
-                    ctrl_p = ControlSpec(2, (p, 1.0 - p))
-                    generic = min_output_entropy(closed_form_n2(1.0, q2, ctrl_p, d))
+                for j, p in enumerate(ps):
+                    generic = h_min[0, i, j]
                     assert abs(two_term - generic) < 1e-10
                     assert abs(min_output_entropy_n2(1.0, q2, p, d) - generic) < 1e-10
 
@@ -146,11 +143,13 @@ def test_criterion_5_generalized_kraus_completeness():
 
 def test_criterion_6_contraction_table_regression():
     with criterion("6: symbolic contractions match every tabulated pair"):
-        for n, table in ((2, CONTRACTION_TABLE_N2), (3, CONTRACTION_TABLE_N3)):
-            for members, pairs in table.items():
-                zeros = ZeroSubset(n, members)
+        for n, frozen in ((2, CONTRACTION_TABLE_N2), (3, CONTRACTION_TABLE_N3)):
+            table = contraction_table(n)
+            for members, pairs in frozen.items():
+                s = table.subsets.index(members)
                 for (k, kp), expected in pairs.items():
-                    term = contract_pair(k, kp, zeros)
+                    u = table.column[k - 1, kp - 1]
+                    term = (bool(table.identity[s, u]), int(table.power[s, u]))
                     assert term == expected, (n, members, (k, kp), term)
 
 
@@ -167,13 +166,11 @@ def test_criterion_7_structural_properties():
             dense = realize(sbm, random_density(d, rng))
             assert abs(np.trace(dense) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(dense).min() >= -1e-10
-            uniform = ControlSpec.uniform(n).probs
-            definite = ControlSpec.definite(n, 1).probs
-            for q in np.linspace(0.0, 1.0, 11):
-                chi_sup = holevo_information(n, d, (q,) * n, uniform).chi
-                chi_def = holevo_information(n, d, (q,) * n, definite).chi
-                assert -1e-12 <= chi_sup <= math.log2(d) + 1e-12
-                assert chi_sup >= chi_def - 1e-12
+            probs = [ControlSpec.uniform(n).probs, ControlSpec.definite(n, 1).probs]
+            q = np.repeat(np.linspace(0.0, 1.0, 11)[:, None], n, axis=1)
+            chi_sup, chi_def = holevo_batch(n, [d], q, probs)[2][0].T
+            assert (-1e-12 <= chi_sup).all() and (chi_sup <= math.log2(d) + 1e-12).all()
+            assert (chi_sup >= chi_def - 1e-12).all()
 
 
 def test_criterion_8_equal_noise_curve_shape():
@@ -182,7 +179,8 @@ def test_criterion_8_equal_noise_curve_shape():
         for n in (2, 3):
             nf = math.factorial(n)
             uniform = (1.0 / nf,) * nf
-            chis = [holevo_information(n, 2, (q,) * n, uniform).chi for q in grid]
+            q = np.repeat(grid[:, None], n, axis=1)
+            chis = holevo_batch(n, [2], q, [uniform])[2][0, :, 0].tolist()
             lowest = min(range(len(chis)), key=chis.__getitem__)
             assert 0 < lowest < len(grid) - 1, "minimum must be interior"
             assert chis[lowest] < chis[0] and chis[lowest] < chis[-1]

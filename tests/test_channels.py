@@ -10,14 +10,13 @@ from qnswitch.channels import (
     DensityMatrix,
     DepolarizingChannel,
     UnitaryBasis,
-    apply_depolarizing,
-    compose_definite,
     kraus_set,
     random_density,
     weyl_basis,
 )
 from qnswitch.errors import SizeLimitError
 from qnswitch.symgroup import enumerate_orders
+from reference import apply_depolarizing, compose_definite
 
 
 class TestWeylBasis:

@@ -70,7 +70,7 @@ class TestHolevoCommand:
     def test_rejects_wrong_q_count(self, capsys):
         code, _, err = run(capsys, "holevo", "--n", "3", "--d", "2", "--q", "0,0")
         assert code == EXIT_USAGE
-        assert "error" in err
+        assert err == "error: expected one q per channel (n=3), got 2\n"
 
     def test_rejects_unnormalized_p(self, capsys):
         code, _, err = run(
@@ -464,7 +464,10 @@ class TestConfigFile:
         [
             ("n = 2\nd = 2\nq_linked = 0.5\noutptu = x.csv\n", "unknown config key 'outptu'"),
             ("n = 2\nd = 2\nq1 = 0.1\nq2 = 0.2\nq_linked = 0.5\n", "mutually exclusive"),
-            ("n = 2\nd = 2\nq1 = 0.1\nq2 = 0.2\nq3 = 0.3\n", "expected 2 per-channel q lists, got 3"),
+            (
+                "n = 2\nd = 2\nq1 = 0.1\nq2 = 0.2\nq3 = 0.3\n",
+                "expected one q per channel (n=2), got 3",
+            ),
             ("n = 2\nd = 2\nq1 = 0.1\nq3 = 0.3\n", "must be q1..qN, got q1, q3"),
             ("n = 2\nd = 2\nq_linked = 0.5\nn = 3\n", "sweep.cfg:4: duplicate key 'n'"),
         ],

@@ -16,12 +16,12 @@ definite and partly zero controls, and a 14-digit Dirichlet draw whose sum
 is off by 7e-15, so its entries are divided by their exact sum.
 
 The ``table1`` fixtures are what ``qnswitch table1`` printed by default and
-with ``--d-max 15`` before ``contract_pair`` became a read of the
+with ``--d-max 15`` before each contraction became a read of the
 contraction table.
 
 The ``GRID_CASES`` have no fixture: their reference is the CSV written one
-point at a time, each q tuple of the grid by each control through
-``holevo_information``.
+point at a time, each q tuple of the grid by each control as its own
+1 x 1 x 1 grid of ``holevo_batch``.
 """
 
 import math
@@ -32,7 +32,7 @@ import pytest
 
 import qnswitch.cli as cli
 from qnswitch.cli import EXIT_OK, main
-from qnswitch.holevo import holevo_information
+from qnswitch.holevo import holevo_batch
 from qnswitch.switch import ControlSpec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -186,7 +186,7 @@ def _control(n, text):
 
 
 def per_point_csv(n, dims, axes, linked, controls):
-    """The sweep's CSV, one ``holevo_information`` call per row: d slowest, then q, then p."""
+    """The sweep's CSV, one ``holevo_batch`` call per row: d slowest, then q, then p."""
     nf = math.factorial(n)
     header = ["n", "d", *(f"q{j}" for j in range(1, n + 1)), *(f"p{k}" for k in range(1, nf + 1))]
     lines = [",".join(header + ["h_min", "h_control", "chi"])]
@@ -195,8 +195,7 @@ def per_point_csv(n, dims, axes, linked, controls):
     for d in dims:
         for q in q_rows:
             for p in probs:
-                r = holevo_information(n, d, q, p)
-                entropies = (r.h_min, r.h_control, r.chi)
+                entropies = tuple(float(v[0, 0, 0]) for v in holevo_batch(n, [d], [q], [p]))
                 lines.append(",".join([str(n), str(d), *map(_fmt, q + p + entropies)]))
     return "".join(line + "\n" for line in lines)
 

@@ -9,7 +9,6 @@ from qnswitch.channels import (
     MAX_DIMENSION,
     DensityMatrix,
     DepolarizingChannel,
-    apply_depolarizing,
     kraus_set,
     random_density,
     weyl_basis,
@@ -21,10 +20,7 @@ from qnswitch.holevo import (
     _entropy_rows,
     _min_output_entropy_n2,
     holevo_batch,
-    holevo_information,
-    min_output_entropy,
     min_output_entropy_n2,
-    von_neumann_entropy,
 )
 from qnswitch.switch import (
     ControlSpec,
@@ -35,6 +31,7 @@ from qnswitch.switch import (
     realize,
 )
 from qnswitch.symgroup import enumerate_orders
+from reference import apply_depolarizing
 
 
 def entropy_of(probabilities):
@@ -50,17 +47,38 @@ def control_marginal(sbm):
     return sbm.d * sbm.a + sbm.b
 
 
+def holevo_point(n, d, q, probs):
+    """(h_min, h_control, chi) of one point: the 1 x 1 x 1 grid of ``holevo_batch``."""
+    return [float(v[0, 0, 0]) for v in holevo_batch(n, [d], [q], [probs])]
+
+
+def _reference_entropy(spectrum):
+    """Entropy in bits of one spectrum, summed over its positive values alone."""
+    v = spectrum[spectrum > 0]
+    return (-(v * np.log2(v))).sum() + 0.0
+
+
+def reference_min_entropy(sbm):
+    """H_min of one block matrix from numpy's spectra of its pencil alone.
+
+    At a one-hot target the output is a + b once and a d - 1 times, each n! x n!.
+    """
+    top, rest = np.linalg.eigvalsh(sbm.a + sbm.b), np.linalg.eigvalsh(sbm.a)
+    return _reference_entropy(np.concatenate([top, np.tile(rest, sbm.d - 1)]))
+
+
 class TestVonNeumannEntropy:
+    # The entropy sum itself: _entropy_rows over spectra, with 0*log(0) = 0.
     def test_maximally_mixed(self):
         for n in (2, 3, 6):
-            assert von_neumann_entropy(np.eye(n) / n) == pytest.approx(
+            assert _entropy_rows(np.full((1, n), 1.0 / n))[0] == pytest.approx(
                 math.log2(n), abs=1e-12
             )
 
     def test_pure_state(self):
-        assert von_neumann_entropy(np.diag([1.0, 0.0, 0.0])) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        # Exact zeros and values in the slack band below 0 add nothing.
+        spectra = np.array([[0.0, -0.0, 1.0], [1.0, -EIGENVALUE_SLACK, 0.0]])
+        assert _entropy_rows(spectra).tolist() == [0.0, 0.0]
 
     def test_control_marginal_of_erased_qubit_pair(self):
         marginal = control_marginal(two_channel_blocks(0.0, 0.0, 0.5, 2))
@@ -69,21 +87,23 @@ class TestVonNeumannEntropy:
             np.linalg.eigvalsh(marginal), [0.375, 0.625], atol=1e-15
         )
         expected = entropy_of([0.625, 0.375])
-        value = von_neumann_entropy(marginal)
+        _, value, _ = holevo_point(2, 2, (0.0, 0.0), (0.5, 0.5))
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.9544, abs=1e-4)
 
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            von_neumann_entropy(np.eye(2))
-
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            von_neumann_entropy(np.diag([1.5, -0.5]))
+        with pytest.raises(NumericalError, match="negative eigenvalue"):
+            _entropy_rows(np.array([[0.5, 0.5], [1.5, -0.5]]))
+        with pytest.raises(NumericalError, match="negative eigenvalue"):
+            _entropy_rows(np.array([[1.0 + 2 * EIGENVALUE_SLACK, -2 * EIGENVALUE_SLACK]]))
+
+    def test_rejects_bad_trace(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.eye(2))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
     @pytest.mark.parametrize(
         "matrix,message",
@@ -101,9 +121,8 @@ class TestVonNeumannEntropy:
     def test_density_matrix_rule(self, matrix, message):
         # One density-matrix rule: finite entries, 1e-12 on Hermiticity and
         # trace, -1e-10 on eigenvalues.
-        for check in (DensityMatrix, von_neumann_entropy):
-            with pytest.raises(ValueError, match=message):
-                check(matrix)
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(matrix)
 
 
 class TestControlMarginal:
@@ -147,7 +166,7 @@ class TestControlMarginal:
 
 class TestMinOutputEntropy:
     def test_erased_qubit_pair_spectrum(self):
-        value = min_output_entropy(two_channel_blocks(0.0, 0.0, 0.5, 2))
+        value, _, _ = holevo_point(2, 2, (0.0, 0.0), (0.5, 0.5))
         expected = entropy_of([0.25, 0.25, 0.375, 0.125])
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(1.9056, abs=1e-4)
@@ -156,14 +175,12 @@ class TestMinOutputEntropy:
         # q = 1 leaves rho tensor rho_c intact; both factors are pure, so the
         # minimum output entropy vanishes and chi reaches log2(d).
         for n in (2, 3):
-            ctrl = ControlSpec.uniform(n)
-            chans = [DepolarizingChannel(1.0, 2)] * n
-            value = min_output_entropy(assemble_blocks(chans, ctrl))
+            value, _, _ = holevo_point(n, 2, (1.0,) * n, ControlSpec.uniform(n).probs)
             assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_one_transparent_channel_matches_two_term_form(self):
         d, q2, p = 2, 0.35, 0.4
-        value = min_output_entropy(two_channel_blocks(1.0, q2, p, d))
+        value, _, _ = holevo_point(2, d, (1.0, q2), (p, 1.0 - p))
         p2 = 1.0 - q2
         expected = -(
             (d - 1) * (p2 / d) * math.log2(p2 / d)
@@ -172,17 +189,15 @@ class TestMinOutputEntropy:
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_one_hot_position_symmetry(self, rng):
-        from qnswitch.channels import DensityMatrix
-
-        d = 3
-        chans = [DepolarizingChannel(q, d) for q in rng.uniform(size=2)]
-        sbm = assemble_blocks(chans, ControlSpec(2, (0.4, 0.6)))
+        d, q, probs = 3, tuple(rng.uniform(size=2)), (0.4, 0.6)
+        sbm = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(2, probs))
         entropies = []
         for index in range(d):
             dense = realize(sbm, DensityMatrix.basis_state(d, index))
-            entropies.append(von_neumann_entropy(dense))
+            entropies.append(_reference_entropy(np.linalg.eigvalsh(dense)))
         assert max(entropies) - min(entropies) < 1e-12
-        assert entropies[0] == pytest.approx(min_output_entropy(sbm), abs=1e-12)
+        h_min, _, _ = holevo_point(2, d, q, probs)
+        assert entropies[0] == pytest.approx(h_min, abs=1e-12)
 
 
 class TestMinOutputEntropyClosedForm:
@@ -214,10 +229,11 @@ class TestMinOutputEntropyClosedForm:
     @pytest.mark.parametrize("d", [2, 3])
     def test_agrees_with_eigensolver_on_grid(self, d):
         grid = np.linspace(0.0, 1.0, 5)
-        for q1, q2, p in product(grid, grid, grid):
+        qs = list(product(grid, grid))
+        generic = holevo_batch(2, [d], qs, [(p, 1.0 - p) for p in grid])[0][0]
+        for ((i, (q1, q2)), (j, p)) in product(enumerate(qs), enumerate(grid)):
             closed = min_output_entropy_n2(q1, q2, p, d)
-            generic = min_output_entropy(two_channel_blocks(q1, q2, p, d))
-            assert abs(closed - generic) < 1e-10
+            assert abs(closed - generic[i, j]) < 1e-10
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
@@ -259,86 +275,80 @@ def test_two_channel_entropy_kernel_is_the_per_point_call(points, d):
 
 class TestHolevoInformation:
     def test_two_erased_qubit_channels(self):
-        rep = holevo_information(2, 2, (0.0, 0.0), (0.5, 0.5))
-        assert rep.chi == pytest.approx(0.0487, abs=5e-4)
-        assert rep.h_min == pytest.approx(1.9056, abs=1e-3)
-        assert rep.h_control == pytest.approx(0.9544, abs=1e-3)
+        h_min, h_control, chi = holevo_point(2, 2, (0.0, 0.0), (0.5, 0.5))
+        assert chi == pytest.approx(0.0487, abs=5e-4)
+        assert h_min == pytest.approx(1.9056, abs=1e-3)
+        assert h_control == pytest.approx(0.9544, abs=1e-3)
 
     def test_three_erased_qutrit_channels(self):
-        rep = holevo_information(3, 3, (0.0, 0.0, 0.0), (1.0 / 6,) * 6)
-        assert rep.chi == pytest.approx(0.0339, abs=1e-3)
+        _, _, chi = holevo_point(3, 3, (0.0, 0.0, 0.0), (1.0 / 6,) * 6)
+        assert chi == pytest.approx(0.0339, abs=1e-3)
 
     def test_transparent_channels_reach_log_d(self):
-        for d in (2, 5):
-            rep = holevo_information(2, d, (1.0, 1.0), (0.25, 0.75))
-            assert rep.chi == pytest.approx(math.log2(d), abs=1e-12)
+        chi = holevo_batch(2, [2, 5], [(1.0, 1.0)], [(0.25, 0.75)])[2][:, 0, 0]
+        np.testing.assert_allclose(chi, np.log2([2, 5]), rtol=0, atol=1e-12)
 
     def test_report_identity(self, rng):
-        for n, d in ((2, 2), (3, 3)):
-            probs = tuple(rng.dirichlet(np.ones(math.factorial(n))))
-            rep = holevo_information(n, d, tuple(rng.uniform(size=n)), probs)
-            assert rep.chi == pytest.approx(
-                math.log2(d) + rep.h_control - rep.h_min, abs=1e-12
-            )
+        # chi = log2(d) + h_control - h_min at every point of a grid.
+        for n in (2, 3):
+            probs = rng.dirichlet(np.ones(math.factorial(n)), size=2)
+            h_min, h_control, chi = holevo_batch(n, [2, 3], rng.uniform(size=(2, n)), probs)
+            log_d = np.log2([2, 3])[:, None, None]
+            np.testing.assert_allclose(chi, log_d + h_control - h_min, rtol=0, atol=1e-12)
 
-    def test_bounds(self, rng):
-        for n, d in product((2, 3), (2, 3)):
-            for q in np.linspace(0.0, 1.0, 11):
-                rep = holevo_information(
-                    n, d, (q,) * n, ControlSpec.uniform(n).probs
-                )
-                assert -1e-12 <= rep.chi <= math.log2(d) + 1e-12
+    def test_bounds(self):
+        for n in (2, 3):
+            q = np.repeat(np.linspace(0.0, 1.0, 11)[:, None], n, axis=1)
+            chi = holevo_batch(n, [2, 3], q, [ControlSpec.uniform(n).probs])[2]
+            log_d = np.log2([2, 3])[:, None, None]
+            assert (chi >= -1e-12).all() and (chi <= log_d + 1e-12).all()
 
     def test_indefinite_at_least_definite(self):
-        for n, d in product((2, 3), (2, 3)):
-            uniform = ControlSpec.uniform(n).probs
-            definite = ControlSpec.definite(n, 1).probs
-            for q in np.linspace(0.0, 1.0, 11):
-                chi_sup = holevo_information(n, d, (q,) * n, uniform).chi
-                chi_def = holevo_information(n, d, (q,) * n, definite).chi
-                assert chi_sup >= chi_def - 1e-12
+        for n in (2, 3):
+            q = np.repeat(np.linspace(0.0, 1.0, 11)[:, None], n, axis=1)
+            probs = [ControlSpec.uniform(n).probs, ControlSpec.definite(n, 1).probs]
+            chi_sup, chi_def = holevo_batch(n, [2, 3], q, probs)[2].transpose(2, 0, 1)
+            assert (chi_sup >= chi_def - 1e-12).all()
 
     def test_one_hot_spectra_are_optimal(self, rng):
-        count = 0
-        while count < 200:
+        # No pure target has less output entropy than holevo_batch's one-hot H_min.
+        for _ in range(200):
             n = int(rng.integers(2, 4))
             d = int(rng.integers(2, 4))
-            chans = [DepolarizingChannel(q, d) for q in rng.uniform(size=n)]
-            ctrl = ControlSpec(n, tuple(rng.dirichlet(np.ones(math.factorial(n)))))
-            sbm = assemble_blocks(chans, ctrl)
+            q = tuple(rng.uniform(size=n))
+            probs = tuple(rng.dirichlet(np.ones(math.factorial(n))))
+            sbm = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(n, probs))
             pure = DensityMatrix.pure(rng.normal(size=d) + 1j * rng.normal(size=d))
             dense = realize(sbm, pure)
-            assert von_neumann_entropy(dense) >= min_output_entropy(sbm) - 1e-9
-            count += 1
+            h_min, _, _ = holevo_point(n, d, q, probs)
+            assert _reference_entropy(np.linalg.eigvalsh(dense)) >= h_min - 1e-9
 
     @pytest.mark.parametrize("q,d", [(0.5, 2), (0.0, 2), (1.0, 3), (0.3, 5)])
     def test_single_channel(self, q, d):
         # One channel has one order: chi = log2 d - S(q |0><0| + (1-q) I/d).
-        rep = holevo_information(1, d, (q,), (1.0,))
+        _, h_control, chi = holevo_point(1, d, (q,), (1.0,))
         spectrum = [q + (1.0 - q) / d] + [(1.0 - q) / d] * (d - 1)
-        assert rep.h_control == pytest.approx(0.0, abs=1e-12)
-        assert rep.chi == pytest.approx(math.log2(d) - entropy_of(spectrum), abs=1e-12)
+        assert h_control == pytest.approx(0.0, abs=1e-12)
+        assert chi == pytest.approx(math.log2(d) - entropy_of(spectrum), abs=1e-12)
 
     def test_single_channel_published_row(self):
-        assert holevo_information(1, 2, (0.5,), (1.0,)).chi == pytest.approx(
-            0.188722, abs=5e-7
-        )
+        assert holevo_point(1, 2, (0.5,), (1.0,))[2] == pytest.approx(0.188722, abs=5e-7)
 
     def test_negative_spectrum_is_a_numerical_error(self, monkeypatch):
         import qnswitch.holevo as hv
 
         monkeypatch.setattr(hv.np.linalg, "eigvalsh", lambda m: np.full(m.shape[:-1], -1.0))
         with pytest.raises(NumericalError) as info:
-            holevo_information(3, 2, (0.1, 0.2, 0.3), ControlSpec.uniform(3).probs)
+            holevo_batch(3, [2], [(0.1, 0.2, 0.3)], [ControlSpec.uniform(3).probs])
         assert not isinstance(info.value, ValueError)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            holevo_information(2, 2, (0.5,), (0.5, 0.5))
+            holevo_batch(2, [2], [(0.5,)], [(0.5, 0.5)])
         with pytest.raises(ValueError):
-            holevo_information(2, 2, (0.5, 1.5), (0.5, 0.5))
+            holevo_batch(2, [2], [(0.5, 1.5)], [(0.5, 0.5)])
         with pytest.raises(ValueError):
-            holevo_information(2, 1, (0.5, 0.5), (0.5, 0.5))
+            holevo_batch(2, [1], [(0.5, 0.5)], [(0.5, 0.5)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,10 +367,10 @@ def test_chi_identity_and_bounds_property(n, d, data):
     )
     total = sum(raw)
     probs = tuple(v / total for v in raw)
-    rep = holevo_information(n, d, q, probs)
-    assert rep.chi == pytest.approx(math.log2(d) + rep.h_control - rep.h_min, abs=1e-12)
-    assert -1e-12 <= rep.chi <= math.log2(d) + 1e-9
-    assert rep.h_min >= -1e-12 and rep.h_control >= -1e-12
+    h_min, h_control, chi = holevo_point(n, d, q, probs)
+    assert chi == pytest.approx(math.log2(d) + h_control - h_min, abs=1e-12)
+    assert -1e-12 <= chi <= math.log2(d) + 1e-9
+    assert h_min >= -1e-12 and h_control >= -1e-12
 
 
 def _relabeled(n, q, probs, sigma):
@@ -386,9 +396,8 @@ def test_channel_relabeling_invariance(n, d, data):
     total = math.fsum(raw)
     probs = tuple(v / total for v in raw)
     q_new, probs_new = _relabeled(n, q, probs, sigma)
-    rep = holevo_information(n, d, q, probs)
-    rep_new = holevo_information(n, d, q_new, probs_new)
-    assert rep_new.chi == pytest.approx(rep.chi, abs=1e-12)
+    chi = holevo_batch(n, [d], [q, q_new], [probs, probs_new])[2][0]
+    assert chi[1, 1] == pytest.approx(chi[0, 0], abs=1e-12)
     blocks = [
         assemble_blocks([DepolarizingChannel(x, d) for x in qs], ControlSpec(n, ps))
         for qs, ps in ((q, probs), (q_new, probs_new))
@@ -456,17 +465,11 @@ def test_batch_is_bitwise_the_per_point_path(n, d, data):
         sbm = _per_point_blocks(n, d, q, probs)
         built = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(n, probs))
         assert built.a.tobytes() == sbm.a.tobytes() and built.b.tobytes() == sbm.b.tobytes()
-        ref_min = min_output_entropy(sbm)
+        ref_min = reference_min_entropy(sbm)
         ref_control = _reference_entropy(np.linalg.eigvalsh(control_marginal(sbm)))
         ref_chi = math.log2(d) + ref_control - ref_min
         got = (h_min[0, i, j], h_control[0, i, j], chi[0, i, j])
         assert np.array(got).tobytes() == np.array([ref_min, ref_control, ref_chi]).tobytes()
-
-
-def _reference_entropy(spectrum):
-    """Entropy in bits of one spectrum, summed over its positive values alone."""
-    v = spectrum[spectrum > 0]
-    return (-(v * np.log2(v))).sum() + 0.0
 
 
 # 1.0 on its own, since -(1 * log2(1)) is -0.0: no entropy may keep that sign.
@@ -529,7 +532,7 @@ def test_powers_of_d_are_pythons(n):
     built = sw._switch_blocks(n, [2, 55], np.array([q]), np.array([probs]))[1, 0]
     assert built.tobytes() == np.stack([sbm.a, sbm.b]).tobytes()
     h_min = holevo_batch(n, [2, 55], [q], [probs])[0][1, 0, 0]
-    assert h_min.tobytes() == np.float64(min_output_entropy(sbm)).tobytes()
+    assert h_min.tobytes() == np.float64(reference_min_entropy(sbm)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [1, 2.5, math.nan, "3", None])
@@ -545,6 +548,16 @@ def test_a_bad_d_anywhere_in_the_sequence_is_rejected(bad, at):
 def test_an_empty_d_sequence_is_rejected(ds):
     with pytest.raises(ValueError, match="at least one dimension"):
         holevo_batch(2, ds, [(0.5, 0.5)], [(0.5, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "gq,gp", [(0, 1), (1, 0), (0, 0)], ids=["no q rows", "no controls", "neither"]
+)
+def test_an_empty_q_or_control_grid_gives_empty_results(gq, gp):
+    # A grid with no rows on an axis has no points; the d axis keeps its length.
+    q, probs = np.full((gq, 2), 0.5), np.full((gp, 2), 0.5)
+    for result in holevo_batch(2, [2, 3], q, probs):
+        assert result.shape == (2, gq, gp)
 
 
 @pytest.mark.parametrize(
@@ -576,7 +589,7 @@ def test_two_channel_batch_matches_closed_forms(d):
     for (i, (q1, q2)), (j, p) in product(enumerate(qs), enumerate(ps)):
         closed = closed_form_n2(q1, q2, ControlSpec(2, (p, 1.0 - p)), d)
         ref_min = min_output_entropy_n2(q1, q2, p, d)
-        ref_control = von_neumann_entropy(control_marginal(closed))
+        ref_control = _reference_entropy(np.linalg.eigvalsh(control_marginal(closed)))
         assert abs(h_min[i, j] - ref_min) <= 1e-12
         assert abs(h_control[i, j] - ref_control) <= 1e-12
         assert abs(chi[i, j] - (math.log2(d) + ref_control - ref_min)) <= 1e-12
@@ -616,7 +629,6 @@ class TestHolevoBatchArguments:
     # Every entry point that takes d applies the one dimension rule.
     TAKES_D = (
         lambda d: holevo_batch(2, [d], [(0.5, 0.5)], [(0.5, 0.5)]),  # d as a one-entry d axis
-        lambda d: holevo_information(2, d, (0.5, 0.5), (0.5, 0.5)),
         lambda d: DepolarizingChannel(0.5, d),
         weyl_basis,
         lambda d: kraus_set(0.5, d),

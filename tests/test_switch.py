@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qnswitch.switch as sw
-from qnswitch.channels import (
-    DensityMatrix,
-    DepolarizingChannel,
-    compose_definite,
-    random_density,
-)
+from qnswitch.channels import DensityMatrix, DepolarizingChannel, random_density
 from qnswitch.errors import SizeLimitError
 from qnswitch.switch import (
     ControlSpec,
@@ -21,15 +16,15 @@ from qnswitch.switch import (
     closed_form_n2,
     closed_form_n3,
     completeness_defect,
-    contract_pair,
     contraction_table,
     kraus_sum_output,
     realize,
     _loop_rule,
 )
-from qnswitch.holevo import holevo_batch, holevo_information, min_output_entropy
+from qnswitch.holevo import holevo_batch
 from qnswitch.symgroup import Permutation, ZeroSubset, _ranks, enumerate_orders, zero_subsets
 from qnswitch.verify import CONTRACTION_TABLE_N2, CONTRACTION_TABLE_N3
+from reference import compose_definite
 
 
 def _restrict(order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple[int, ...]:
@@ -38,6 +33,13 @@ def _restrict(order: tuple[int, ...], pinned: tuple[int, ...]) -> tuple[int, ...
 
 def channels_for(qs, d):
     return [DepolarizingChannel(q, d) for q in qs]
+
+
+def contraction(n, k, kp, members):
+    """(word is I, power of d) of order pair (k, k') and subset A_z, read from the table."""
+    table = contraction_table(n)
+    at = table.subsets.index(members), table.column[k - 1, kp - 1]
+    return bool(table.identity[at]), int(table.power[at])
 
 
 def random_ctrl(n, rng):
@@ -57,7 +59,7 @@ class TestControlSpec:
 
     @pytest.mark.parametrize("k", [0, 3, 1.0, 2.5])
     def test_definite_rejects_bad_label(self, k):
-        # Order labels follow contract_pair's rule: integers in 1..n!.
+        # Order labels follow the one order-label rule: integers in 1..n!.
         with pytest.raises(ValueError, match="integers in 1..2"):
             ControlSpec.definite(2, k)
 
@@ -80,9 +82,8 @@ class TestControlSpec:
             lambda n: zero_subsets(n, 1),
             lambda n: ZeroSubset(n, ()),
             lambda n: SwitchBlockMatrix(n=n, d=2, a=np.zeros((2, 2)), b=np.eye(2) / 2),
-            lambda n: contract_pair(1, 1, ZeroSubset(n, ())),
+            contraction_table,
             lambda n: holevo_batch(n, [2], [(0.5, 0.5)], [(0.5, 0.5)]),
-            lambda n: holevo_information(n, 2, (0.5, 0.5), (0.5, 0.5)),
         ):
             with pytest.raises(ValueError, match="must be an integer"):
                 make(n)
@@ -132,18 +133,13 @@ class TestChannelCountRule:
                 lambda n: SwitchBlockMatrix(n=n, d=2, a=[[0.0]], b=[[1.0]]), 8,
                 id="SwitchBlockMatrix",
             ),
-            pytest.param(lambda n: contract_pair(1, 1, ZeroSubset(n, ())), 5, id="contract_pair"),
             pytest.param(
                 lambda n: holevo_batch(n, [2], [(0.5, 0.5)], [(0.5, 0.5)]), 5, id="holevo_batch"
             ),
-            pytest.param(
-                lambda n: holevo_information(n, 2, (0.5, 0.5), (0.5, 0.5)), 5,
-                id="holevo_information",
-            ),
+            pytest.param(contraction_table, 5, id="contraction_table"),
         ],
     )
     def test_count_outside_the_cap(self, make, cap):
-        # contract_pair's ZeroSubset(0, ()) already fails at its own cap of 8.
         with pytest.raises(SizeLimitError, match="channels, got n=0"):
             make(0)
         with pytest.raises(SizeLimitError, match=f"1..{cap} channels, got n={cap + 1}"):
@@ -187,9 +183,6 @@ class TestBlockTypes:
         for probs in (ctrl.probs, low.probs):
             chi = holevo_batch(3, [2, 3], [(0.5,) * 3], [probs, ctrl.probs])[2]
             assert np.isfinite(chi).all()
-        sbm = assemble_blocks(channels_for([0.5] * 3, 2), ctrl)
-        h_min = holevo_batch(3, [2], [(0.5,) * 3], [ctrl.probs])[0]
-        assert min_output_entropy(sbm) == h_min[0, 0, 0]
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_rounding_stays_far_inside_the_trace_margin(self, n):
@@ -242,55 +235,35 @@ class TestBlockTypes:
 
 
 class TestContractPair:
-    # A contraction is (word is I, power of d).
+    # A contraction is (word is I, power of d), read from the table's arrays.
     def test_two_channel_diagonal(self):
-        assert contract_pair(1, 1, ZeroSubset(2, ())) == (True, 3)
+        assert contraction(2, 1, 1, ()) == (True, 3)
 
     def test_two_channel_swapped(self):
-        assert contract_pair(1, 2, ZeroSubset(2, ())) == (False, 2)
+        assert contraction(2, 1, 2, ()) == (False, 2)
 
     def test_three_channel_rotation(self):
-        assert contract_pair(1, 4, ZeroSubset(3, ())) == (False, 4)
+        assert contraction(3, 1, 4, ()) == (False, 4)
 
     def test_all_slots_pinned(self):
         for k, kp in product(range(1, 7), repeat=2):
-            assert contract_pair(k, kp, ZeroSubset(3, (1, 2, 3))) == (False, 0)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            contract_pair(0, 1, ZeroSubset(2, ()))
-        with pytest.raises(ValueError):
-            contract_pair(1, 7, ZeroSubset(3, ()))
-        # A float label is rejected, not used as an index.
-        with pytest.raises(ValueError, match="integers"):
-            contract_pair(1.0, 2, ZeroSubset(2, ()))
-        with pytest.raises(ValueError, match="integers"):
-            contract_pair(1, 2.5, ZeroSubset(2, ()))
-        assert contract_pair(np.int64(1), np.int8(2), ZeroSubset(2, ())) == (False, 2)
-        # n is checked before the table is built: at n = 6 it would hold
-        # 2^6 * 720^2 entries, and at n = 7 about 6.5 GB.
-        with pytest.raises(SizeLimitError):
-            contract_pair(1, 1, ZeroSubset(6, ()))
+            assert contraction(3, k, kp, (1, 2, 3)) == (False, 0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_symmetric_in_order_pair(self, n):
         nf = math.factorial(n)
-        for z in range(n + 1):
-            for zeros in zero_subsets(n, z):
-                for k in range(1, nf + 1):
-                    for kp in range(k, nf + 1):
-                        assert contract_pair(k, kp, zeros) == contract_pair(
-                            kp, k, zeros
-                        )
+        for members in contraction_table(n).subsets:
+            for k in range(1, nf + 1):
+                for kp in range(k, nf + 1):
+                    assert contraction(n, k, kp, members) == contraction(n, kp, k, members)
 
     @pytest.mark.parametrize(
         "n,table", [(2, CONTRACTION_TABLE_N2), (3, CONTRACTION_TABLE_N3)]
     )
     def test_full_regression_tables(self, n, table):
         for members, pairs in table.items():
-            zeros = ZeroSubset(n, members)
             for (k, kp), expected in pairs.items():
-                term = contract_pair(k, kp, zeros)
+                term = contraction(n, k, kp, members)
                 assert term == expected, (n, members, (k, kp), term)
 
 
@@ -468,8 +441,6 @@ class TestKrausSumOutput:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_definite_order_reduces_to_composition(self, rng):
-        from qnswitch.channels import compose_definite
-
         d = 2
         qs = rng.uniform(size=2)
         chans = channels_for(qs, d)
@@ -566,8 +537,6 @@ class TestChunkedKrausSum:
 class TestDefiniteOrderEmbedding:
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
     def test_each_order(self, n, d, rng):
-        from qnswitch.channels import compose_definite
-
         chans = channels_for(rng.uniform(size=n), d)
         rho = random_density(d, rng)
         for k, perm in enumerate(enumerate_orders(n), start=1):
@@ -580,7 +549,7 @@ class TestDefiniteOrderEmbedding:
 
 class TestContractionTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_contract_pair(self, n):
+    def test_matches_the_loop_rule(self, n):
         # The reference applies the loop rule to the two restricted words
         # directly, without the table's relative-order memo.
         table = contraction_table(n)
@@ -595,7 +564,6 @@ class TestContractionTable:
                 expected = _loop_rule(*words)
                 column = table.column[k - 1, kp - 1]
                 assert (table.identity[s, column], table.power[s, column]) == expected
-                assert contract_pair(k, kp, zeros) == expected
 
     def test_sampled_entries_beyond_four_channels(self):
         # The table reads each entry from one base row through the relabeling
