@@ -9,7 +9,6 @@ resulting channel.
 from .channels import (
     DensityMatrix,
     DepolarizingChannel,
-    UnitaryBasis,
     kraus_set,
     random_density,
     weyl_basis,
@@ -28,7 +27,6 @@ from .switch import (
 )
 from .symgroup import (
     Permutation,
-    ZeroSubset,
     apply_order,
     enumerate_orders,
     zero_subsets,
@@ -44,8 +42,6 @@ __all__ = [
     "Permutation",
     "SizeLimitError",
     "SwitchBlockMatrix",
-    "UnitaryBasis",
-    "ZeroSubset",
     "apply_order",
     "assemble_blocks",
     "closed_form_n2",

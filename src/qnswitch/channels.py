@@ -105,12 +105,19 @@ def _check_dimension(d) -> int:
     return int(d)
 
 
-def _check_transparencies(q) -> None:
-    """The package's one transparency rule: every entry of q lies in [0, 1] (NaN fails)."""
+def _check_transparencies(q) -> np.ndarray:
+    """The package's one transparency rule: q as a float array if every entry is real in [0, 1].
+
+    NaN fails. A complex entry fails before the float conversion, which would raise
+    TypeError (or, for a complex array, drop the imaginary part).
+    """
+    if np.iscomplexobj(q):
+        raise ValueError(f"transparency must be real, got {q!r}")
     values = np.asarray(q, dtype=float)
     outside = values[~((values >= 0.0) & (values <= 1.0))]
     if outside.size:
         raise ValueError(f"transparency must lie in [0, 1], got {outside[0]}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -121,44 +128,17 @@ class DepolarizingChannel:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q", float(self.q))
         _check_transparencies(self.q)
+        object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "d", _check_dimension(self.d))
 
 
-@dataclass(frozen=True)
-class UnitaryBasis:
-    """d^2 unitaries forming a trace-orthogonal basis; the first is the identity.
-
-    Domain index i in 1..d^2 is ``elements[i - 1]``.
-    """
-
-    d: int
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        elements = tuple(_frozen(u) for u in self.elements)
-        object.__setattr__(self, "elements", elements)
-        d = self.d
-        if len(elements) != d * d:
-            raise ValueError(f"expected {d * d} elements, got {len(elements)}")
-        if np.abs(elements[0] - np.eye(d)).max() > HERMITIAN_TOL:
-            raise ValueError("element with index 1 must be the identity")
-        stack = np.stack(elements)
-        for u in elements:
-            if np.abs(u @ u.conj().T - np.eye(d)).max() > HERMITIAN_TOL:
-                raise ValueError("basis element is not unitary")
-        gram = np.einsum("aij,bij->ab", stack.conj(), stack)
-        if np.abs(gram - d * np.eye(d * d)).max() > HERMITIAN_TOL:
-            raise ValueError("basis is not trace-orthogonal")
-
-
-def weyl_basis(d: int) -> UnitaryBasis:
-    """Heisenberg-Weyl basis {X(a)Z(b)} in row-major order over (a, b), built once per d.
+def weyl_basis(d: int) -> np.ndarray:
+    """Heisenberg-Weyl basis {X(a)Z(b)} as a read-only [d^2, d, d] array, built once per d.
 
     X(a)|l> = |(l+a) mod d>, Z(b)|l> = omega^(b*l)|l> with omega = exp(2*pi*i/d)
-    and no extra global phase. Index i in 1..d^2 maps to the pair
-    (a, b) = ((i-1) div d, (i-1) mod d), so index 1 is X(0)Z(0) = I.
+    and no extra global phase. Element i is X(a)Z(b) with (a, b) = (i div d, i mod d),
+    so element 0 is X(0)Z(0) = I; tr(U_i^dag U_j) = d delta_ij.
     """
     d = _check_dimension(d)  # checked first: the cache hashes its key
     if d > MAX_BASIS_DIMENSION:
@@ -167,32 +147,27 @@ def weyl_basis(d: int) -> UnitaryBasis:
 
 
 @cache
-def _weyl_basis(d: int) -> UnitaryBasis:
+def _weyl_basis(d: int) -> np.ndarray:
     omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for l in range(d):
-        shift[(l + 1) % d, l] = 1.0
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
-    elements = []
-    for a in range(d):
-        xa = np.linalg.matrix_power(shift, a)
-        for b in range(d):
-            elements.append(xa @ np.linalg.matrix_power(clock, b))
-    return UnitaryBasis(d=d, elements=tuple(elements))
+    xs = [np.linalg.matrix_power(shift, a) for a in range(d)]
+    zs = [np.linalg.matrix_power(clock, b) for b in range(d)]
+    return _frozen([xa @ zb for xa in xs for zb in zs])
 
 
-def kraus_set(q: float, d: int) -> list[np.ndarray]:
-    """Kraus operators of the depolarizing channel, indexed 0..d^2.
+def kraus_set(q: float, d: int) -> np.ndarray:
+    """Kraus operators of the depolarizing channel as a read-only [d^2 + 1, d, d] array.
 
-    Index 0 is sqrt(q)*I, absorbing the transparent part of the channel
+    Element 0 is sqrt(q)*I, absorbing the transparent part of the channel
     directly (this stays finite at q = 1, where a basis-side scaled identity
-    would be singular). Indices 1..d^2 are sqrt(1-q)/d times the Weyl
-    unitaries. The set satisfies sum_i K_i^dag K_i = I.
+    would be singular). Elements 1..d^2 are sqrt(1-q)/d times the Weyl
+    unitaries of ``weyl_basis(d)``, in its order. The set satisfies sum_i K_i^dag K_i = I.
     """
     _check_transparencies(q)
     basis = weyl_basis(d)  # every rule on d, before anything is built
-    scale = np.sqrt(1.0 - q) / basis.d
-    return [np.sqrt(q) * np.eye(basis.d, dtype=complex)] + [scale * u for u in basis.elements]
+    scale = np.sqrt(1.0 - q) / basis.shape[-1]
+    return _frozen(np.concatenate([[np.sqrt(q) * basis[0]], scale * basis]))
 
 
 def _channel_list(

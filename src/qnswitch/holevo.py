@@ -125,12 +125,10 @@ def holevo_batch(n: int, ds, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if np.ndim(ds) == 0 or not len(ds):
         raise ValueError(f"expected a sequence of at least one dimension, got {ds!r}")
     ds = [_check_dimension(v) for v in ds]
-    q = np.asarray(q, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+    q = _check_transparencies(q)
     if q.ndim != 2 or q.shape[1] != n:
         raise ValueError(f"expected q of shape [G, {n}], got {q.shape}")
-    _check_transparencies(q)
-    _check_probabilities(probs, n)
+    probs = _check_probabilities(probs, n)
     blocks = _switch_blocks(n, ds, q, probs)
     _check_blocks(ds, blocks)
     shape = len(ds), len(q), len(probs)

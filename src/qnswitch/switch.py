@@ -47,12 +47,15 @@ MAX_ASSEMBLE_CHANNELS = 5
 CHUNK_ENTRIES = 1 << 18
 
 
-def _check_probabilities(probs: np.ndarray, n: int) -> None:
-    """Reject a stack [G, n!] of control probabilities unless every row is valid.
+def _check_probabilities(probs, n: int) -> np.ndarray:
+    """A stack [G, n!] of control probabilities as a float array if every row is valid.
 
-    The package's one control-vector rule: each row has n! entries, each
-    nonnegative (NaN fails), and sums to 1 within 1e-12 (exactly summed).
+    The package's one control-vector rule: each row has n! entries, each real (checked
+    before the float conversion) and nonnegative (NaN fails), with an exact sum within 1e-12 of 1.
     """
+    if np.iscomplexobj(probs):
+        raise ValueError("probabilities must be real")
+    probs = np.asarray(probs, dtype=float)
     nf = math.factorial(n)
     if probs.ndim != 2 or probs.shape[1] != nf:
         got = probs.shape[1] if probs.ndim == 2 else f"an array of shape {probs.shape}"
@@ -66,6 +69,7 @@ def _check_probabilities(probs: np.ndarray, n: int) -> None:
             total = math.inf
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {total}")
+    return probs
 
 
 def _check_order_label(n: int, k) -> None:
@@ -108,8 +112,8 @@ class ControlSpec:
 
     def __post_init__(self):
         _check_channel_count(self.n)
+        _check_probabilities([self.probs], self.n)
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        _check_probabilities(np.array([self.probs]), self.n)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -202,14 +206,16 @@ def _loop_rule(left: Sequence[int], right: Sequence[int]) -> tuple[bool, int]:
 class ContractionTable(NamedTuple):
     """Every contraction of n channels as read-only distinct columns.
 
-    A contraction is a pair (word is I, power of d). ``identity`` (bool) and
-    ``power`` (int8) are [2^n, U] arrays: axis 0 follows ``subsets`` (the A_z
-    by size, then lexicographically), axis 1 the U distinct columns over
-    the subsets in order of first appearance. ``column`` ([n!, n!]) gives
-    the column of pair (k, k') at [k - 1, k' - 1].
+    A contraction is a pair (word is I, power of d). ``subsets`` holds the A_z as
+    member tuples by size, then lexicographically; ``pinned`` ([2^n, n] bool) is True
+    at [s, j - 1] if slot j is in subset s. ``identity`` (bool) and ``power`` (int8)
+    are [2^n, U]: axis 0 follows ``subsets``, axis 1 the U distinct columns over the
+    subsets in order of first appearance. ``column`` ([n!, n!]) gives pair (k, k')'s
+    column at [k - 1, k' - 1].
     """
 
     subsets: tuple[tuple[int, ...], ...]
+    pinned: np.ndarray
     identity: np.ndarray
     power: np.ndarray
     column: np.ndarray
@@ -233,7 +239,7 @@ def contraction_table(n: int) -> ContractionTable:
     _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)  # the table grows as 2^n n!^2
     perms = np.array([p.image for p in enumerate_orders(n)]) - 1
     taus = perms.tolist()  # order t is the tau of rank t
-    subsets = tuple(zs.members for z in range(n + 1) for zs in zero_subsets(n, z))
+    subsets = tuple(members for z in range(n + 1) for members in zero_subsets(n, z))
     base = np.empty((len(perms), 2**n), dtype=np.int8)  # [rank of tau, mask of pinned places]
     for mask in range(2**n):
         live = {p: i for i, p in enumerate(p for p in range(n) if not mask >> p & 1)}
@@ -250,7 +256,7 @@ def contraction_table(n: int) -> ContractionTable:
     keys = codes.view(np.dtype((np.void, len(subsets)))).ravel().tolist()
     column = np.reshape([columns.setdefault(key, len(columns)) for key in keys], codes.shape[:2])
     unique = np.frombuffer(b"".join(columns), dtype=np.int8).reshape(len(columns), -1).T
-    arrays = unique % 2 == 1, unique >> 1, column
+    arrays = pinned, unique % 2 == 1, unique >> 1, column
     for array in arrays:
         array.setflags(write=False)
     return ContractionTable(subsets, *arrays)
@@ -270,15 +276,14 @@ def _switch_blocks(n: int, ds: Sequence[int], q: np.ndarray, probs: np.ndarray) 
     (k, k') is then weighted by each control's sqrt(P_k P_k').
     """
     table = contraction_table(n)
-    pinned = np.array([[j in members for j in range(1, n + 1)] for members in table.subsets])
-    factors = np.where(pinned, q[:, None, :], 1.0 - q[:, None, :])
+    factors = np.where(table.pinned, q[:, None, :], 1.0 - q[:, None, :])
     weight = np.ones(factors.shape[:2])
     for j in range(n):
         weight *= factors[:, :, j]
     # d^k at index k (from the end if k < 0), by Python per d: numpy's differs in the last bit.
     exponents = [*range(table.power.max() + 1), *range(-2 * n, 0)]
     powers = np.array([[float(d) ** k for k in exponents] for d in ds])
-    weight = weight * powers[:, None, [2 * (len(members) - n) for members in table.subsets]]
+    weight = weight * powers[:, None, 2 * (table.pinned.sum(axis=1) - n)]
     scale = powers[:, None, table.power]  # [Gd, 1, 2^n, U]: broadcast over q
     split = np.stack([scale * table.identity, scale * ~table.identity], axis=3)
     sums = np.zeros((len(ds), len(q)) + split.shape[3:])
@@ -437,7 +442,7 @@ def _order_products(
         raise SizeLimitError(
             f"brute-force sum needs {nf} orders x {m**n} index tuples, budget {TUPLE_BUDGET}"
         )
-    kraus = [np.array(kraus_set(ch.q, d)) for ch in channels]
+    kraus = [kraus_set(ch.q, d) for ch in channels]
     orders = [apply_order(p, list(range(n))) for p in enumerate_orders(n)]
     per_tuple = nf * d * d
     g = next((g for g in range(1, n) if per_tuple * m ** (n - g) <= CHUNK_ENTRIES), n)

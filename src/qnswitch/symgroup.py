@@ -105,32 +105,16 @@ def apply_order(p: Permutation, factors: Sequence[T]) -> list[T]:
     return [factors[j - 1] for j in p.image]
 
 
-@dataclass(frozen=True)
-class ZeroSubset:
-    """A set A_z of channel slots whose Kraus index is pinned to zero.
-
-    The complement B_z holds the slots that still carry a summed unitary.
-    """
-
-    n: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_channel_count(self.n)
-        object.__setattr__(self, "members", _integers(self.members, "members"))
-        if list(self.members) != sorted(set(self.members)):
-            raise ValueError(f"members must be sorted and distinct: {self.members}")
-        if self.members and not (1 <= self.members[0] and self.members[-1] <= self.n):
-            raise ValueError(f"members must lie in 1..{self.n}: {self.members}")
-
-
 @cache
-def _subsets(n: int, z: int) -> tuple[ZeroSubset, ...]:
-    return tuple(ZeroSubset(n, members) for members in combinations(range(1, n + 1), z))
+def _subsets(n: int, z: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(combinations(range(1, n + 1), z))
 
 
-def zero_subsets(n: int, z: int) -> tuple[ZeroSubset, ...]:
-    """All C(n, z) size-z subsets of {1..n}, in lexicographic order; cached as enumerate_orders."""
+def zero_subsets(n: int, z: int) -> tuple[tuple[int, ...], ...]:
+    """All C(n, z) size-z subsets A_z of {1..n} as sorted member tuples, in lexicographic order.
+
+    A_z holds the slots whose Kraus index is pinned to zero; cached as enumerate_orders.
+    """
     _check_channel_count(n)
     (z,) = _integers((z,), "subset sizes")  # and 1.0 for 1
     if not 0 <= z <= n:

@@ -129,24 +129,21 @@ def check_weyl_identities(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for d in (2, 3, 4):
         basis = ch.weyl_basis(d)
-        stack = np.stack(basis.elements)
-        gram = np.einsum("aij,bij->ab", stack.conj(), stack)
+        gram = np.einsum("aij,bij->ab", basis.conj(), basis)
         worst = max(worst, np.abs(gram - d * np.eye(d * d)).max())
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        conj = sum(u @ x @ u.conj().T for u in basis.elements)
+        conj = sum(u @ x @ u.conj().T for u in basis)
         worst = max(worst, np.abs(conj - d * np.trace(x) * np.eye(d)).max())
-        expand = sum(np.trace(u.conj().T @ x) * u for u in basis.elements)
+        expand = sum(np.trace(u.conj().T @ x) * u for u in basis)
         worst = max(worst, np.abs(expand - d * x).max())
     return _result("weyl basis identities", worst, 1e-10)
 
 
 def check_kraus_completeness(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for d in (2, 3, 4):
-        for q in (0.0, 0.3, 1.0):
-            ops = ch.kraus_set(q, d)
-            total = sum(k.conj().T @ k for k in ops)
-            worst = max(worst, np.abs(total - np.eye(d)).max())
+    for d, q in product((2, 3, 4), (0.0, 0.3, 1.0)):
+        total = sum(k.conj().T @ k for k in ch.kraus_set(q, d))
+        worst = max(worst, np.abs(total - np.eye(d)).max())
     return _result("kraus completeness", worst, 1e-12)
 
 

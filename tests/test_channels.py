@@ -9,12 +9,12 @@ from qnswitch.channels import (
     MAX_DIMENSION,
     DensityMatrix,
     DepolarizingChannel,
-    UnitaryBasis,
     kraus_set,
     random_density,
     weyl_basis,
 )
 from qnswitch.errors import SizeLimitError
+from qnswitch.switch import ControlSpec, completeness_defect, kraus_sum_output
 from qnswitch.symgroup import enumerate_orders
 from reference import apply_depolarizing, compose_definite
 
@@ -25,36 +25,36 @@ class TestWeylBasis:
         eye = np.eye(2)
         z = np.diag([1.0, -1.0])
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(basis.elements[0], eye, atol=1e-15)
-        np.testing.assert_allclose(basis.elements[1], z, atol=1e-15)
-        np.testing.assert_allclose(basis.elements[2], x, atol=1e-15)
-        np.testing.assert_allclose(basis.elements[3], x @ z, atol=1e-15)
+        np.testing.assert_allclose(basis[0], eye, atol=1e-15)
+        np.testing.assert_allclose(basis[1], z, atol=1e-15)
+        np.testing.assert_allclose(basis[2], x, atol=1e-15)
+        np.testing.assert_allclose(basis[3], x @ z, atol=1e-15)
 
     def test_qutrit_trace_orthogonality_all_pairs(self):
         basis = weyl_basis(3)
         for i in range(1, 10):
             for j in range(1, 10):
-                ip = np.trace(basis.elements[i - 1].conj().T @ basis.elements[j - 1])
+                ip = np.trace(basis[i - 1].conj().T @ basis[j - 1])
                 expected = 3.0 if i == j else 0.0
                 assert abs(ip - expected) < 1e-12
 
     def test_uniform_conjugation_depolarizes(self, rng):
         rho = random_density(2, rng)
-        total = sum(u @ rho.entries @ u.conj().T for u in weyl_basis(2).elements)
+        total = sum(u @ rho.entries @ u.conj().T for u in weyl_basis(2))
         np.testing.assert_allclose(total, 2.0 * np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_conjugation_identity_random_matrix(self, d, rng):
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         basis = weyl_basis(d)
-        total = sum(u @ x @ u.conj().T for u in basis.elements)
+        total = sum(u @ x @ u.conj().T for u in basis)
         np.testing.assert_allclose(total, d * np.trace(x) * np.eye(d), atol=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_expansion_identity_random_matrix(self, d, rng):
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         basis = weyl_basis(d)
-        total = sum(np.trace(u.conj().T @ x) * u for u in basis.elements)
+        total = sum(np.trace(u.conj().T @ x) * u for u in basis)
         np.testing.assert_allclose(total, d * x, atol=1e-10)
 
     def test_dimension_guard(self):
@@ -71,10 +71,16 @@ class TestWeylBasis:
             with pytest.raises(SizeLimitError, match=f"at most {MAX_BASIS_DIMENSION}"):
                 make(MAX_BASIS_DIMENSION + 1)
 
-    def test_non_orthogonal_set_rejected(self):
-        eye = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError):
-            UnitaryBasis(d=2, elements=(eye, eye, eye, eye))
+    @pytest.mark.parametrize("d", range(2, MAX_BASIS_DIMENSION + 1))
+    def test_identity_first_unitary_and_trace_orthogonal(self, d):
+        # The Gram matrix is d*I within d^3 ulp of 1; the worst case is 0.36 of that, at d = 30.
+        basis = weyl_basis(d)
+        tol = d**3 * 2.0**-52
+        assert basis.shape == (d * d, d, d) and not basis.flags.writeable
+        assert np.array_equal(basis[0], np.eye(d))
+        assert np.abs(basis @ basis.conj().transpose(0, 2, 1) - np.eye(d)).max() <= tol
+        flat = basis.reshape(d * d, d * d)
+        assert np.abs(flat.conj() @ flat.T - d * np.eye(d * d)).max() <= tol
 
 
 class TestDensityMatrix:
@@ -177,13 +183,30 @@ class TestKrausSet:
         basis = weyl_basis(2)
         np.testing.assert_allclose(ops[0], np.zeros((2, 2)), atol=1e-15)
         for i in range(1, 5):
-            np.testing.assert_allclose(ops[i], basis.elements[i - 1] / 2, atol=1e-15)
+            np.testing.assert_allclose(ops[i], basis[i - 1] / 2, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
     def test_completeness(self, q, d):
         total = sum(k.conj().T @ k for k in kraus_set(q, d))
         assert np.abs(total - np.eye(d)).max() < 1e-12
+
+    def test_read_only_stack(self):
+        ops = kraus_set(0.25, 3)
+        assert ops.shape == (10, 3, 3) and not ops.flags.writeable
+        np.testing.assert_array_equal(ops[1:], np.sqrt(0.75) / 3 * weyl_basis(3))
+
+    def test_thirty_dimensions_build(self, rng):
+        # d = 30 is the worst Gram case (2.1e-12), past a fixed 1e-12 orthogonality tolerance.
+        d, q = 30, 0.5
+        total = sum(k.conj().T @ k for k in kraus_set(q, d))
+        assert np.abs(total - np.eye(d)).max() < 1e-12
+        channel = [DepolarizingChannel(q, d)]
+        assert completeness_defect(channel) < 1e-12
+        rho = random_density(d, rng)
+        out = kraus_sum_output(channel, ControlSpec(1, (1.0,)), rho)
+        expected = q * rho.entries + (1 - q) * np.eye(d) / d
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
 
     def test_completeness_tight(self):
         total = sum(k.conj().T @ k for k in kraus_set(0.5, 2))

@@ -34,8 +34,11 @@ import qnswitch.cli as cli
 from qnswitch.cli import EXIT_OK, main
 from qnswitch.holevo import holevo_batch
 from qnswitch.switch import ControlSpec
+from blas_core import openblas_core
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# Every byte check's failure message: rounding residues in the files follow the BLAS kernel.
+KERNEL = f"bytes differ under the OpenBLAS {openblas_core()} kernel"
 
 EDGE_Q = "0,0.3,1"
 
@@ -109,7 +112,7 @@ TABLE1_CASES = {"table1": [], "table1_d15": ["--d-max", "15"]}
 def test_sweep_matches_golden_bytes(name, tmp_path):
     out_path = tmp_path / f"{name}.csv"
     assert main(["sweep", *CASES[name], "--out", str(out_path)]) == EXIT_OK
-    assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes(), KERNEL
 
 
 @pytest.mark.parametrize("entries", [1, 1 << 30])
@@ -119,7 +122,7 @@ def test_sweep_bytes_do_not_depend_on_chunk_size(name, entries, tmp_path, monkey
     monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", entries)
     out_path = tmp_path / f"{name}.csv"
     assert main(["sweep", *CASES[name], "--out", str(out_path)]) == EXIT_OK
-    assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes(), KERNEL
 
 
 def test_sweep_bytes_when_one_q_row_spans_batches(tmp_path, monkeypatch):
@@ -138,7 +141,7 @@ def test_sweep_bytes_when_one_q_row_spans_batches(tmp_path, monkeypatch):
     out_path = tmp_path / "n3_edges.csv"
     assert main(["sweep", *CASES["n3_edges"], "--out", str(out_path)]) == EXIT_OK
     assert shapes == {(2, 1, 3), (2, 1, 1), (3, 1, 2)}
-    assert out_path.read_bytes() == (GOLDEN / "n3_edges.csv").read_bytes()
+    assert out_path.read_bytes() == (GOLDEN / "n3_edges.csv").read_bytes(), KERNEL
 
 
 @pytest.mark.parametrize("name", sorted(HOLEVO_CASES))
@@ -146,7 +149,7 @@ def test_holevo_matches_golden_bytes(name, capsys):
     assert main(["holevo", *HOLEVO_CASES[name]]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert captured.out.encode() == (GOLDEN / f"{name}.csv").read_bytes(), KERNEL
 
 
 @pytest.mark.parametrize("name", sorted(TABLE1_CASES))
@@ -154,7 +157,7 @@ def test_table1_matches_golden_bytes(name, capsys):
     assert main(["table1", *TABLE1_CASES[name]]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert captured.out.encode() == (GOLDEN / f"{name}.csv").read_bytes(), KERNEL
 
 
 # (n, dimensions, per-channel q lists or None, linked q list or None, controls).
@@ -216,5 +219,5 @@ def test_sweep_bytes_are_the_per_point_rows(name, entries, tmp_path, monkeypatch
     monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", entries)
     out_path = tmp_path / f"{name}.csv"
     assert main([*argv, "--out", str(out_path)]) == EXIT_OK
-    assert out_path.read_text() == per_point_csv(n, dims, axes, linked, controls)
+    assert out_path.read_text() == per_point_csv(n, dims, axes, linked, controls), KERNEL
 

@@ -667,7 +667,7 @@ class TestHolevoBatchArguments:
         assert type(DepolarizingChannel(0.5, 2.0).d) is int
         for make in self.TAKES_D:
             make(2.0)
-        assert len(kraus_set(0.5, 3.0)) == 10 and weyl_basis(3.0).d == 3
+        assert len(kraus_set(0.5, 3.0)) == 10 and weyl_basis(3.0).shape[-1] == 3
         assert weyl_basis(2.0) is weyl_basis(2)
 
     @pytest.mark.parametrize("q", [1.2, -0.1, math.nan])
@@ -684,6 +684,31 @@ class TestHolevoBatchArguments:
         ):
             with pytest.raises(ValueError, match="transparency"):
                 make(q)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: holevo_batch(2, [2], [(0.5, 0.5j)], [(0.5, 0.5)]),
+            lambda: holevo_batch(2, [2], np.full((1, 2), 0.5 + 0j), [(0.5, 0.5)]),
+            lambda: holevo_batch(2, [2], [(0.5, 0.5)], [(0.5, 0.5 + 0j)]),
+            lambda: DepolarizingChannel(0.5 + 0.1j, 2),
+            lambda: kraus_set(0.5j, 2),
+            lambda: ControlSpec(2, (0.5, 0.5 + 0j)),
+            lambda: closed_form_n2(0.5, 0.5j, ControlSpec.uniform(2), 2),
+            lambda: min_output_entropy_n2(0.5j, 0.5, 0.5, 2),
+            lambda: min_output_entropy_n2(0.5, 0.5, 0.5 + 0j, 2),
+        ],
+        ids=[
+            "holevo_batch-q", "holevo_batch-q-array", "holevo_batch-probs", "DepolarizingChannel",
+            "kraus_set", "ControlSpec", "closed_form_n2", "min_output_entropy_n2-q",
+            "min_output_entropy_n2-p",
+        ],
+    )
+    def test_complex_inputs_are_value_errors(self, make):
+        # Not a float conversion's TypeError, nor a complex array's cast that drops
+        # the imaginary part: a complex q or control entry breaks a rule.
+        with pytest.raises(ValueError, match="must be real"):
+            make()
 
     @pytest.mark.parametrize(
         "entries,factor,message",

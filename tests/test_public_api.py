@@ -15,8 +15,6 @@ PUBLIC_NAMES = [
     "Permutation",
     "SizeLimitError",
     "SwitchBlockMatrix",
-    "UnitaryBasis",
-    "ZeroSubset",
     "apply_order",
     "assemble_blocks",
     "closed_form_n2",

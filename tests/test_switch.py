@@ -22,7 +22,7 @@ from qnswitch.switch import (
     _loop_rule,
 )
 from qnswitch.holevo import holevo_batch
-from qnswitch.symgroup import Permutation, ZeroSubset, _ranks, enumerate_orders, zero_subsets
+from qnswitch.symgroup import Permutation, _ranks, enumerate_orders, zero_subsets
 from qnswitch.verify import CONTRACTION_TABLE_N2, CONTRACTION_TABLE_N3
 from reference import compose_definite
 
@@ -80,7 +80,6 @@ class TestControlSpec:
             lambda n: ControlSpec(n, (0.5, 0.5)),
             enumerate_orders,
             lambda n: zero_subsets(n, 1),
-            lambda n: ZeroSubset(n, ()),
             lambda n: SwitchBlockMatrix(n=n, d=2, a=np.zeros((2, 2)), b=np.eye(2) / 2),
             contraction_table,
             lambda n: holevo_batch(n, [2], [(0.5, 0.5)], [(0.5, 0.5)]),
@@ -125,7 +124,6 @@ class TestChannelCountRule:
         [
             pytest.param(enumerate_orders, 8, id="enumerate_orders"),
             pytest.param(lambda n: zero_subsets(n, 0), 8, id="zero_subsets"),
-            pytest.param(lambda n: ZeroSubset(n, ()), 8, id="ZeroSubset"),
             pytest.param(lambda n: ControlSpec(n, (1.0,)), 8, id="ControlSpec"),
             pytest.param(ControlSpec.uniform, 8, id="ControlSpec.uniform"),
             pytest.param(lambda n: ControlSpec.definite(n, 1), 8, id="ControlSpec.definite"),
@@ -555,12 +553,13 @@ class TestContractionTable:
         table = contraction_table(n)
         nf = math.factorial(n)
         assert table.column.shape == (nf, nf)
-        subsets = [zs for z in range(n + 1) for zs in zero_subsets(n, z)]
-        assert table.subsets == tuple(zs.members for zs in subsets)
+        subsets = tuple(members for z in range(n + 1) for members in zero_subsets(n, z))
+        assert table.subsets == subsets
+        assert table.pinned.tolist() == [[j in zeros for j in range(1, n + 1)] for zeros in subsets]
         orders = [p.image for p in enumerate_orders(n)]
         for s, zeros in enumerate(subsets):
             for k, kp in product(range(1, nf + 1), repeat=2):
-                words = (_restrict(orders[label - 1], zeros.members) for label in (k, kp))
+                words = (_restrict(orders[label - 1], zeros) for label in (k, kp))
                 expected = _loop_rule(*words)
                 column = table.column[k - 1, kp - 1]
                 assert (table.identity[s, column], table.power[s, column]) == expected
