@@ -105,19 +105,38 @@ def _check_dimension(d) -> int:
     return int(d)
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array if every entry is a real number.
+
+    The array must be boolean, integer or float, or hold only ``numbers.Real`` objects.
+    Anything else fails before the float conversion, which would raise TypeError on a
+    complex object, drop a complex array's imaginary part, or parse a numeric string.
+    """
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind not in "biuf" and not (kind == "O" and all(isinstance(v, Real) for v in array.flat)):
+        raise ValueError(f"{what} must be real, got {values!r}")
+    return np.asarray(array, dtype=float)
+
+
 def _check_transparencies(q) -> np.ndarray:
     """The package's one transparency rule: q as a float array if every entry is real in [0, 1].
 
-    NaN fails. A complex entry fails before the float conversion, which would raise
-    TypeError (or, for a complex array, drop the imaginary part).
+    NaN fails, and a non-real entry fails before the float conversion (``_real_array``).
     """
-    if np.iscomplexobj(q):
-        raise ValueError(f"transparency must be real, got {q!r}")
-    values = np.asarray(q, dtype=float)
+    values = _real_array(q, "transparency")
     outside = values[~((values >= 0.0) & (values <= 1.0))]
     if outside.size:
         raise ValueError(f"transparency must lie in [0, 1], got {outside[0]}")
     return values
+
+
+def _check_transparency(q) -> float:
+    """One channel's q as a float: the transparency rule, then a scalar."""
+    value = _check_transparencies(q)
+    if value.ndim:
+        raise ValueError(f"transparency must be real and a scalar, got {q!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -128,8 +147,7 @@ class DepolarizingChannel:
     d: int
 
     def __post_init__(self):
-        _check_transparencies(self.q)
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "q", _check_transparency(self.q))
         object.__setattr__(self, "d", _check_dimension(self.d))
 
 
@@ -164,7 +182,7 @@ def kraus_set(q: float, d: int) -> np.ndarray:
     would be singular). Elements 1..d^2 are sqrt(1-q)/d times the Weyl
     unitaries of ``weyl_basis(d)``, in its order. The set satisfies sum_i K_i^dag K_i = I.
     """
-    _check_transparencies(q)
+    q = _check_transparency(q)
     basis = weyl_basis(d)  # every rule on d, before anything is built
     scale = np.sqrt(1.0 - q) / basis.shape[-1]
     return _frozen(np.concatenate([[np.sqrt(q) * basis[0]], scale * basis]))

@@ -10,16 +10,19 @@ same checks: the channel count first, then the library's rules for d (an
 integer in 2..32768) and q (in [0, 1]), one q list per channel, and the library's
 control-vector rule (n! nonnegative entries whose exact sum is within 1e-12
 of 1; they are then divided by that sum). The grid is evaluated in chunks of at
-most SWEEP_CHUNK_ENTRIES // (n! d) points, whole q rows by every control (one q
-row's controls in parts if they alone are over), one ``holevo_batch`` call and one
-format call each, so memory does not grow with it; ``table1`` is one call per N over
-every d. No Python code runs once per row: a chunk's q rows are a range of flat grid
-indices, unravelled into one index per q axis (``--q-linked`` is one axis shared by
-every channel), each q value is formatted once per axis, and numpy's object loop
-joins each row's q texts. ``sweep`` streams its rows to a temporary file next to the output and
-renames it into place only when every row is written, so a failed sweep leaves
-any previous output untouched; ``holevo`` prints nothing if it fails. A config
-file only fills the ``sweep`` flags left unset, so it meets the flags' rules.
+most SWEEP_CHUNK_ENTRIES // (n! (5 n! + d + 1)) points, the floats a point holds
+inside ``holevo_batch`` (blocks, eigen stack and spectra), so one budget bounds
+memory at every N and d: whole q rows by every control (one q row's controls in
+parts if they alone are over), one ``holevo_batch`` call each, and one format call
+per SWEEP_FORMAT_ROWS rows of it; an N = 2 plane takes one call per d, and
+``table1`` one call per N over every d. No Python code runs once per row: a chunk's
+q rows are a range of flat grid indices, unravelled into one index per q axis
+(``--q-linked`` is one axis shared by every channel), each q value is formatted once
+per axis, and numpy's object loop joins each row's q texts. ``sweep`` streams its
+rows to a temporary file next to the output and renames it into place only when
+every row is written, so a failed sweep leaves any previous output untouched;
+``holevo`` prints nothing if it fails. A config file only fills the ``sweep`` flags
+left unset, so it meets the flags' rules.
 """
 
 from __future__ import annotations
@@ -49,10 +52,15 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-# Floats of output spectra (n!*d per point) in one chunk of a grid: whole q rows
-# by every control, or one q row's controls in parts. Memory stays flat, and a
-# batch's fixed cost is spread over up to 85 points at N = 4, d = 2, 1,024 at N = 2.
-SWEEP_CHUNK_ENTRIES = 1 << 12
+# Floats that one chunk of a grid holds inside holevo_batch: n!*(5*n! + d + 1) a point
+# (the [2, n!, n!] blocks, the [3, n!, n!] eigen stack, and n!*(d + 1) spectra with
+# `rest` tiled d - 1 times). A chunk is whole q rows by every control, or one q row's
+# controls in parts. Memory stays flat at every N and d: 14 points at N = 5, d = 2,
+# 355 at N = 4, d = 2, and a whole 41 x 41 x 3 N = 2 plane per d in one call.
+SWEEP_CHUNK_ENTRIES = 1 << 20
+# Rows per "%" call when a chunk is formatted: its Python strings and floats stay
+# bounded however many rows the chunk has.
+SWEEP_FORMAT_ROWS = 1 << 10
 
 
 def _fmt(value: float) -> str:
@@ -134,9 +142,9 @@ def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
     q_texts = [np.array([_fmt(v) for v in axis], dtype=object) for axis in spec.q_axes]
     q_count = math.prod(shape) if spec.p_vectors else 0  # with no control, no batch runs
     probs = np.array(spec.p_vectors)
-    p_texts = [",".join(map(_fmt, p)) for p in spec.p_vectors]
+    p_texts = np.array([",".join(map(_fmt, p)) for p in spec.p_vectors], dtype=object)
     for d in spec.d_values:
-        points = max(1, SWEEP_CHUNK_ENTRIES // (nf * d))
+        points = max(1, SWEEP_CHUNK_ENTRIES // (nf * (5 * nf + d + 1)))
         p_step = min(len(p_texts), points) or 1
         q_step = points // p_step
         # "%.6g" formats a float exactly as _fmt does; adding 0.0 turns
@@ -152,12 +160,16 @@ def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
                 q_text = q_text + "," + q_texts[a][index[a]]
             for lo in range(0, len(p_texts), p_step):
                 values = np.stack(holevo_batch(n, (d,), q, probs[lo : lo + p_step])) + 0.0
+                values = values.reshape(3, -1)
                 controls = p_texts[lo : lo + p_step]
-                fields = [None] * (5 * len(q) * len(controls))
-                fields[0::5] = q_text.repeat(len(controls)).tolist()
-                fields[1::5] = controls * len(q)
-                fields[2::5], fields[3::5], fields[4::5] = values.reshape(3, -1).tolist()
-                yield (row * (len(fields) // 5)) % tuple(fields)
+                q_rows, p_rows = q_text.repeat(len(controls)), np.tile(controls, len(q))
+                for first in range(0, len(q_rows), SWEEP_FORMAT_ROWS):
+                    block = slice(first, first + SWEEP_FORMAT_ROWS)
+                    fields = [None] * (5 * len(q_rows[block]))
+                    fields[0::5] = q_rows[block].tolist()
+                    fields[1::5] = p_rows[block].tolist()
+                    fields[2::5], fields[3::5], fields[4::5] = values[:, block].tolist()
+                    yield (row * (len(fields) // 5)) % tuple(fields)
 
 
 def cmd_holevo(args: argparse.Namespace) -> int:

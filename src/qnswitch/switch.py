@@ -34,7 +34,7 @@ import numpy as np
 
 from .channels import (
     DensityMatrix, DepolarizingChannel, _channel_list, _check_dimension, _check_transparencies,
-    kraus_set,
+    _real_array, kraus_set,
 )
 from .errors import SizeLimitError
 from .symgroup import _check_channel_count, _ranks, apply_order, enumerate_orders, zero_subsets
@@ -53,9 +53,7 @@ def _check_probabilities(probs, n: int) -> np.ndarray:
     The package's one control-vector rule: each row has n! entries, each real (checked
     before the float conversion) and nonnegative (NaN fails), with an exact sum within 1e-12 of 1.
     """
-    if np.iscomplexobj(probs):
-        raise ValueError("probabilities must be real")
-    probs = np.asarray(probs, dtype=float)
+    probs = _real_array(probs, "probabilities")
     nf = math.factorial(n)
     if probs.ndim != 2 or probs.shape[1] != nf:
         got = probs.shape[1] if probs.ndim == 2 else f"an array of shape {probs.shape}"
@@ -287,8 +285,9 @@ def _switch_blocks(n: int, ds: Sequence[int], q: np.ndarray, probs: np.ndarray) 
     scale = powers[:, None, table.power]  # [Gd, 1, 2^n, U]: broadcast over q
     split = np.stack([scale * table.identity, scale * ~table.identity], axis=3)
     sums = np.zeros((len(ds), len(q)) + split.shape[3:])
+    term = np.empty_like(sums)  # each subset's product, written in place
     for s, terms in enumerate(split.transpose(2, 0, 1, 3, 4)):  # [Gd, 1, 2, U] per subset
-        sums += weight[..., s, None, None] * terms
+        sums += np.multiply(weight[..., s, None, None], terms, out=term)
     # Sums copied per control, then gathered: a broadcast density product page-faults each call.
     blocks = np.take(np.repeat(sums, len(probs), axis=1), table.column, axis=3)
     amps = np.tile(np.sqrt(probs), (len(q), 1))[:, None]

@@ -115,20 +115,30 @@ def test_sweep_matches_golden_bytes(name, tmp_path):
     assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes(), KERNEL
 
 
-@pytest.mark.parametrize("entries", [1, 1 << 30])
+@pytest.mark.parametrize(
+    "constant,value",
+    [
+        ("SWEEP_CHUNK_ENTRIES", 1),
+        ("SWEEP_CHUNK_ENTRIES", 1 << 30),
+        ("SWEEP_FORMAT_ROWS", 1),
+        ("SWEEP_FORMAT_ROWS", 1 << 30),
+    ],
+    ids=["1", "1073741824", "format-rows-1", "format-rows-1073741824"],
+)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_sweep_bytes_do_not_depend_on_chunk_size(name, entries, tmp_path, monkeypatch):
-    # One point per batch, then the whole grid of each d in one batch.
-    monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", entries)
+def test_sweep_bytes_do_not_depend_on_chunk_size(name, constant, value, tmp_path, monkeypatch):
+    # One point per batch, then the whole grid of each d in one batch; then
+    # the default chunks formatted one row per "%" call, then whole.
+    monkeypatch.setattr(cli, constant, value)
     out_path = tmp_path / f"{name}.csv"
     assert main(["sweep", *CASES[name], "--out", str(out_path)]) == EXIT_OK
     assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes(), KERNEL
 
 
 def test_sweep_bytes_when_one_q_row_spans_batches(tmp_path, monkeypatch):
-    # n3_edges has 4 controls and n! d = 12 or 18 entries a point, so 36
-    # entries fit 3 points at d = 2 and 2 at d = 3: each q row's controls
-    # are split over two batches, unevenly at d = 2.
+    # n3_edges has 4 controls and n!(5 n! + d + 1) = 198 or 204 entries a
+    # point, so 600 entries fit 3 points at d = 2 and 2 at d = 3: each q row's
+    # controls are split over two batches, unevenly at d = 2.
     real = cli.holevo_batch
     shapes = set()
 
@@ -136,7 +146,7 @@ def test_sweep_bytes_when_one_q_row_spans_batches(tmp_path, monkeypatch):
         shapes.add((*ds, len(q), len(probs)))
         return real(n, ds, q, probs)
 
-    monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", 36)
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", 600)
     monkeypatch.setattr(cli, "holevo_batch", recording)
     out_path = tmp_path / "n3_edges.csv"
     assert main(["sweep", *CASES["n3_edges"], "--out", str(out_path)]) == EXIT_OK
@@ -203,11 +213,13 @@ def per_point_csv(n, dims, axes, linked, controls):
     return "".join(line + "\n" for line in lines)
 
 
-@pytest.mark.parametrize("entries", [1, 36, cli.SWEEP_CHUNK_ENTRIES])
+@pytest.mark.parametrize("entries", [1, 36, 600, 4096])
 @pytest.mark.parametrize("name", sorted(GRID_CASES))
 def test_sweep_bytes_are_the_per_point_rows(name, entries, tmp_path, monkeypatch):
-    # 1: one point per batch; 36: one q row's controls split over batches at
-    # N = 3 (3 points a batch at d = 2, 2 at d = 3); the default: whole q rows.
+    # 1: one point per batch; 36: one point a batch from N = 2 on, 4 and 2 at
+    # N = 1 (d = 2 and 7); 600: one q row's controls split over batches at
+    # N = 3 (3 points a batch at d = 2, 2 at d = 3); 4096: each grid here in
+    # one batch per d, as with the default.
     n, dims, axes, linked, controls = GRID_CASES[name]
     argv = ["sweep", "--n", str(n), "--d", ",".join(map(str, dims))]
     if linked is None:

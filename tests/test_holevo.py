@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -697,16 +698,27 @@ class TestHolevoBatchArguments:
             lambda: closed_form_n2(0.5, 0.5j, ControlSpec.uniform(2), 2),
             lambda: min_output_entropy_n2(0.5j, 0.5, 0.5, 2),
             lambda: min_output_entropy_n2(0.5, 0.5, 0.5 + 0j, 2),
+            lambda: holevo_batch(2, [2], [[Fraction(1, 2), 0.5j]], [(0.5, 0.5)]),
+            lambda: DepolarizingChannel([0.5, 0.5], 2),
+            lambda: DepolarizingChannel(np.array([0.5]), 2),
+            lambda: kraus_set([0.5, 0.5], 2),
+            lambda: holevo_batch(2, [2], [(0.5, 0.5)], [[Fraction(1, 2), 0.5j]]),
+            lambda: DepolarizingChannel("0.5", 2),
+            lambda: holevo_batch(2, [2], [(0.5, 0.5)], [("0.5", "0.5")]),
         ],
         ids=[
             "holevo_batch-q", "holevo_batch-q-array", "holevo_batch-probs", "DepolarizingChannel",
             "kraus_set", "ControlSpec", "closed_form_n2", "min_output_entropy_n2-q",
-            "min_output_entropy_n2-p",
+            "min_output_entropy_n2-p", "holevo_batch-q-object-array", "DepolarizingChannel-list",
+            "DepolarizingChannel-array", "kraus_set-list", "holevo_batch-probs-object-array",
+            "DepolarizingChannel-str", "holevo_batch-probs-str",
         ],
     )
     def test_complex_inputs_are_value_errors(self, make):
         # Not a float conversion's TypeError, nor a complex array's cast that drops
-        # the imaginary part: a complex q or control entry breaks a rule.
+        # the imaginary part, nor a numeric string's parse: a complex or text q or
+        # control entry, a complex entry among Python numbers, or a channel's q that
+        # is not one number breaks a rule.
         with pytest.raises(ValueError, match="must be real"):
             make()
 
