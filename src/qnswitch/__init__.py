@@ -25,12 +25,7 @@ from .switch import (
     kraus_sum_output,
     realize,
 )
-from .symgroup import (
-    Permutation,
-    apply_order,
-    enumerate_orders,
-    zero_subsets,
-)
+from .symgroup import enumerate_orders, zero_subsets
 
 __version__ = "0.1.0"
 
@@ -39,10 +34,8 @@ __all__ = [
     "DensityMatrix",
     "DepolarizingChannel",
     "NumericalError",
-    "Permutation",
     "SizeLimitError",
     "SwitchBlockMatrix",
-    "apply_order",
     "assemble_blocks",
     "closed_form_n2",
     "closed_form_n3",

@@ -47,6 +47,7 @@ class DensityMatrix:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {entries.shape}")
+        _check_dimension(entries.shape[0])
         if not np.isfinite(entries).all():
             raise ValueError("density matrix entries must be finite")
         if np.abs(entries - entries.conj().T).max() > HERMITIAN_TOL:

@@ -170,6 +170,7 @@ def _csv_chunks(spec: SweepSpec) -> Iterator[str]:
                     fields[1::5] = p_rows[block].tolist()
                     fields[2::5], fields[3::5], fields[4::5] = values[:, block].tolist()
                     yield (row * (len(fields) // 5)) % tuple(fields)
+                del values, q_rows, p_rows, fields  # freed before the next chunk's batch
 
 
 def cmd_holevo(args: argparse.Namespace) -> int:

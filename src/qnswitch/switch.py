@@ -37,7 +37,7 @@ from .channels import (
     _real_array, kraus_set,
 )
 from .errors import SizeLimitError
-from .symgroup import _check_channel_count, _ranks, apply_order, enumerate_orders, zero_subsets
+from .symgroup import _check_channel_count, _ranks, enumerate_orders, zero_subsets
 
 # Hard caps: the brute-force sums multiply out n! (d^2+1)^n (order, index
 # tuple) pairs, the block assembly runs over n!^2 causal-order pairs.
@@ -235,7 +235,7 @@ def contraction_table(n: int) -> ContractionTable:
     one base row per set of pinned places, gathered by the rank of tau.
     """
     _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)  # the table grows as 2^n n!^2
-    perms = np.array([p.image for p in enumerate_orders(n)]) - 1
+    perms = enumerate_orders(n) - 1
     taus = perms.tolist()  # order t is the tau of rank t
     subsets = tuple(members for z in range(n + 1) for members in zero_subsets(n, z))
     base = np.empty((len(perms), 2**n), dtype=np.int8)  # [rank of tau, mask of pinned places]
@@ -442,7 +442,7 @@ def _order_products(
             f"brute-force sum needs {nf} orders x {m**n} index tuples, budget {TUPLE_BUDGET}"
         )
     kraus = [kraus_set(ch.q, d) for ch in channels]
-    orders = [apply_order(p, list(range(n))) for p in enumerate_orders(n)]
+    orders = (enumerate_orders(n) - 1).tolist()
     per_tuple = nf * d * d
     g = next((g for g in range(1, n) if per_tuple * m ** (n - g) <= CHUNK_ENTRIES), n)
     step = max(1, CHUNK_ENTRIES // (per_tuple * m ** (n - g)))

@@ -16,7 +16,6 @@ from qnswitch.channels import (
     _channel_list,
     _check_transparencies,
 )
-from qnswitch.symgroup import Permutation, apply_order
 
 
 def apply_depolarizing(rho: DensityMatrix, q: float) -> DensityMatrix:
@@ -28,21 +27,22 @@ def apply_depolarizing(rho: DensityMatrix, q: float) -> DensityMatrix:
 
 def compose_definite(
     channels: Sequence[DepolarizingChannel],
-    p: Permutation,
+    order: Sequence[int],
     rho: DensityMatrix,
 ) -> DensityMatrix:
-    """Apply the channels to rho in the definite causal order p.
+    """Apply the channels to rho in the definite causal order ``order``, a row of
+    ``enumerate_orders(n)``.
 
-    The rearranged sequence reads as an operator product, so its last
-    element acts first. Depolarizing channels commute as maps, hence the
-    result equals a single depolarizing channel of transparency prod(q_j).
+    Position j holds channel order[j - 1], and the positions read as an operator
+    product, so the last one acts first. Depolarizing channels commute as maps,
+    hence the result equals a single depolarizing channel of transparency prod(q_j).
     """
     n, d = _channel_list(channels)
-    if n != p.n:
-        raise ValueError(f"expected {p.n} channels, got {n}")
+    if n != len(order):
+        raise ValueError(f"expected {len(order)} channels, got {n}")
     if d != rho.d:
         raise ValueError(f"channel dimension {d} != state dimension {rho.d}")
     out = rho
-    for ch in reversed(apply_order(p, list(channels))):
-        out = apply_depolarizing(out, ch.q)
+    for j in reversed(order):
+        out = apply_depolarizing(out, channels[j - 1].q)
     return out

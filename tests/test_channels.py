@@ -128,6 +128,19 @@ class TestDensityMatrix:
             with pytest.raises(SizeLimitError, match="dimension"):
                 make(MAX_DIMENSION + 1)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DensityMatrix(np.zeros((0, 0))),
+            lambda: DensityMatrix([[1.0]]),
+            lambda: DensityMatrix.pure([1.0]),
+        ],
+        ids=["zero", "one", "pure_one"],
+    )
+    def test_entries_apply_the_dimension_rule(self, make):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            make()
+
     def test_random_density_checks_d_before_it_draws(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):

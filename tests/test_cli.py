@@ -866,6 +866,20 @@ class TestVerifyGatesTheSweepStages:
         )
         assert {"closed forms vs assembly", "closed-form vs eigensolver entropy"} <= failed
 
+    def test_order_array(self, monkeypatch):
+        import qnswitch.symgroup as sg
+
+        # (1, 1, 3, 4, 5, 6) still ranks 0, so only the row check sees it. Only n = 6
+        # changes: no contraction table, which is cached per process, reads those orders.
+        def repeat_channel_1(orders):
+            if orders.shape[1] == 6:
+                orders = orders.copy()
+                orders[0, 1] = 1
+            return orders
+
+        failed = self.failed(monkeypatch, sg, "_orders", repeat_channel_1)
+        assert failed == {"causal orders"}
+
 
 class TestEveryChiRespectsBounds:
     def test_table_rows_within_bounds(self, capsys):

@@ -377,7 +377,7 @@ def test_chi_identity_and_bounds_property(n, d, data):
 def _relabeled(n, q, probs, sigma):
     """Inputs with new channel j = old channel sigma[j-1]; orders follow."""
     new_label = {old: new for new, old in enumerate(sigma, start=1)}
-    images = [p.image for p in enumerate_orders(n)]
+    images = list(map(tuple, enumerate_orders(n).tolist()))
     index = {image: k for k, image in enumerate(images)}
     moved = [0.0] * len(images)
     for k, image in enumerate(images):

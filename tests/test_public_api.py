@@ -12,10 +12,8 @@ PUBLIC_NAMES = [
     "DensityMatrix",
     "DepolarizingChannel",
     "NumericalError",
-    "Permutation",
     "SizeLimitError",
     "SwitchBlockMatrix",
-    "apply_order",
     "assemble_blocks",
     "closed_form_n2",
     "closed_form_n3",

@@ -22,7 +22,7 @@ from qnswitch.switch import (
     _loop_rule,
 )
 from qnswitch.holevo import holevo_batch
-from qnswitch.symgroup import Permutation, _ranks, enumerate_orders, zero_subsets
+from qnswitch.symgroup import _ranks, enumerate_orders, zero_subsets
 from qnswitch.verify import CONTRACTION_TABLE_N2, CONTRACTION_TABLE_N3
 from reference import compose_definite
 
@@ -156,9 +156,7 @@ class TestChannelCountRule:
             ),
             pytest.param(completeness_defect, 8, id="completeness_defect"),
             pytest.param(
-                lambda chans: compose_definite(
-                    chans, Permutation(tuple(range(1, len(chans) + 1))), RHO2
-                ),
+                lambda chans: compose_definite(chans, tuple(range(1, len(chans) + 1)), RHO2),
                 8,
                 id="compose_definite",
             ),
@@ -556,7 +554,7 @@ class TestContractionTable:
         subsets = tuple(members for z in range(n + 1) for members in zero_subsets(n, z))
         assert table.subsets == subsets
         assert table.pinned.tolist() == [[j in zeros for j in range(1, n + 1)] for zeros in subsets]
-        orders = [p.image for p in enumerate_orders(n)]
+        orders = enumerate_orders(n).tolist()
         for s, zeros in enumerate(subsets):
             for k, kp in product(range(1, nf + 1), repeat=2):
                 words = (_restrict(orders[label - 1], zeros) for label in (k, kp))
@@ -570,7 +568,7 @@ class TestContractionTable:
         # checked against the loop rule on the two restricted words themselves.
         n, rng = 5, np.random.default_rng(5)
         table = contraction_table(n)
-        orders = [p.image for p in enumerate_orders(n)]
+        orders = enumerate_orders(n).tolist()
         for _ in range(200):
             k, kp = rng.integers(len(orders), size=2)
             s = int(rng.integers(len(table.subsets)))
@@ -585,7 +583,7 @@ class TestContractionTable:
         # block (rev(k), rev(k')) is block (k, k'), bitwise, for any q and control.
         rng = np.random.default_rng(n)
         nf = math.factorial(n)
-        rev = _ranks(np.array([p.image for p in enumerate_orders(n)])[:, ::-1])
+        rev = _ranks(enumerate_orders(n)[:, ::-1])
         probs = np.zeros((3, nf))
         probs[0] = rng.dirichlet(np.ones(nf))
         for row in probs[1:]:  # zero weight on about half of the orders
