@@ -17,7 +17,6 @@ from .errors import NumericalError, SizeLimitError
 from .holevo import holevo_batch, min_output_entropy_n2
 from .switch import (
     ControlSpec,
-    SwitchBlockMatrix,
     assemble_blocks,
     closed_form_n2,
     closed_form_n3,
@@ -35,7 +34,6 @@ __all__ = [
     "DepolarizingChannel",
     "NumericalError",
     "SizeLimitError",
-    "SwitchBlockMatrix",
     "assemble_blocks",
     "closed_form_n2",
     "closed_form_n3",

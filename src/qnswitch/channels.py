@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .symgroup import MAX_ORDER_CHANNELS, _check_channel_count
+from .symgroup import _check_channel_count
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -189,11 +189,9 @@ def kraus_set(q: float, d: int) -> np.ndarray:
     return _frozen(np.concatenate([[np.sqrt(q) * basis[0]], scale * basis]))
 
 
-def _channel_list(
-    channels: Sequence[DepolarizingChannel], cap: int = MAX_ORDER_CHANNELS
-) -> tuple[int, int]:
-    """The package's one channel-list rule: (n, d) of 1..cap channels sharing one d."""
-    _check_channel_count(len(channels), cap)
+def _channel_list(channels: Sequence[DepolarizingChannel]) -> tuple[int, int]:
+    """The package's one channel-list rule: (n, d) of 1..MAX_ORDER_CHANNELS channels with one d."""
+    _check_channel_count(len(channels))
     d = channels[0].d
     if any(ch.d != d for ch in channels):
         raise ValueError("all channels must share one dimension")

@@ -42,7 +42,7 @@ import numpy as np
 from .channels import _check_dimension, _check_transparencies
 from .errors import NumericalError
 from .holevo import holevo_batch
-from .switch import MAX_ASSEMBLE_CHANNELS, ControlSpec, _check_probabilities
+from .switch import MAX_ASSEMBLE_CHANNELS, _check_probabilities
 from .symgroup import _check_channel_count
 from .verify import run_verification
 
@@ -82,7 +82,7 @@ def _parse_list(text: str, kind: type = float) -> list:
 def _resolve_probs(text: str, n: int) -> tuple[float, ...]:
     """'uniform', or n! probabilities passing ``_check_probabilities``, divided by their sum."""
     if text.strip() == "uniform":
-        return ControlSpec.uniform(n).probs
+        return (1.0 / math.factorial(n),) * math.factorial(n)
     values = _parse_list(text)
     _check_probabilities(np.array([values]), n)
     total = math.fsum(values)

@@ -6,8 +6,8 @@ attained on pure states aligned with a basis vector, so the block structure
 reduces it to two n! x n! eigenproblems (target eigenvalue 1 and 0).
 
 ``holevo_batch`` is the package's one evaluation call, the same path for every N: a sequence
-of d by a grid of q rows by control rows ([Gd, Gq, Gp]; d is axis 0 of every block stack),
-``switch``'s block stage, then one spectral stage solving their stacked a + b, a and control
+of d by a grid of q rows by control rows ([Gd, Gq, Gp]; d is axis 0 of every block grid),
+``switch.assemble_blocks``, then one spectral stage solving their stacked a + b, a and control
 marginal d*a + b in one eigensolve, every value bitwise what the point gives alone. A single
 point is the 1 x 1 x 1 grid; the N = 2 closed form ``min_output_entropy_n2`` checks it.
 """
@@ -18,10 +18,8 @@ import math
 
 import numpy as np
 
-from .channels import _check_dimension, _check_transparencies
 from .errors import NumericalError
-from .switch import MAX_ASSEMBLE_CHANNELS, _check_blocks, _check_probabilities, _switch_blocks
-from .symgroup import _check_channel_count
+from .switch import _check_grid, assemble_blocks
 
 EIGENVALUE_SLACK = 1e-9
 
@@ -33,26 +31,22 @@ def _spectrum(matrix: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigensolver failed on a {matrix.shape} stack: {exc}") from exc
 
 
-def min_output_entropy_n2(q1: float, q2: float, p: float, d: int) -> float:
-    """Closed-form minimum output entropy for two channels, in bits.
+def min_output_entropy_n2(ds, q, probs) -> np.ndarray:
+    """Closed-form minimum output entropy [Gd, Gq, Gp] in bits of two channels over a grid.
 
-    The four spectral branches are lam_{s,k} = alpha_k/2
+    With p = P_1, the four spectral branches are lam_{s,k} = alpha_k/2
     + s*sqrt(p(1-p)*beta_k^2 + alpha_k^2 (p-1/2)^2) for s = +-1 and target
     eigenvalue k in {0, 1}, weighted (d-1)^(1-k), with
     alpha_k = (1-q1 q2)/d + k q1 q2 and
     beta_k = (p1 q2 + q1 p2)/d + k (p1 p2/d^2 + q1 q2).
+    The grid rule applies, and each point is bitwise what it gives alone.
     """
-    _check_transparencies((q1, q2))
-    _check_probabilities(np.array([[p, 1.0 - p]]), 2)
-    d = _check_dimension(d)
-    return float(_min_output_entropy_n2(*np.array([[q1], [q2], [p]], float), [d])[0, 0])
-
-
-def _min_output_entropy_n2(q1: np.ndarray, q2: np.ndarray, p: np.ndarray, ds) -> np.ndarray:
-    """``min_output_entropy_n2`` [Gd, G] of checked points [G] over ds, each as alone."""
-    d = np.array(ds)[:, None]
+    ds, q, probs = _check_grid(2, ds, q, probs)
+    d = np.array(ds)[:, None, None]
+    q1, q2 = q.T[:, :, None]
+    p = probs[:, 0]
     p1, p2 = 1.0 - q1, 1.0 - q2
-    acc = np.zeros((len(d), len(q1)))
+    acc = np.zeros((len(ds), len(q), len(probs)))
     for k in (0, 1):
         alpha = (1.0 - q1 * q2) / d + k * q1 * q2
         beta = (p1 * q2 + q1 * p2) / d + k * (p1 * p2 / d**2 + q1 * q2)
@@ -90,7 +84,9 @@ def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
 
 
 def _block_entropies(ds: list[int], blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h_min, h_control) [Gd, G] in bits of a checked [Gd, G, 2, n!, n!] stack over ds."""
+    """(h_min, h_control) [Gd, Gq, Gp] in bits of a checked grid [Gd, Gq, Gp, 2, n!, n!] over ds."""
+    shape = blocks.shape[:3]
+    blocks = blocks.reshape(len(ds), -1, *blocks.shape[3:])
     a, b = blocks[:, :, 0], blocks[:, :, 1]
     stack = np.stack([a, a, a])  # made a + b, a, d*a + b in place: no full-size temporaries
     stack[2] *= np.array(ds)[:, None, None, None]
@@ -102,8 +98,8 @@ def _block_entropies(ds: list[int], blocks: np.ndarray) -> tuple[np.ndarray, np.
     h_min = np.stack([_entropy_rows(tile) for tile in tiles])
     # The marginal is exactly symmetric with unit trace by construction, so
     # only the spectrum is checked, and a bad one is a numerical failure.
-    h_control = _entropy_rows(marginal.reshape(-1, marginal.shape[-1])).reshape(marginal.shape[:-1])
-    return h_min, h_control
+    h_control = _entropy_rows(marginal.reshape(-1, marginal.shape[-1]))
+    return h_min.reshape(shape), h_control.reshape(shape)
 
 
 def holevo_batch(n: int, ds, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,25 +109,15 @@ def holevo_batch(n: int, ds, q, probs) -> tuple[np.ndarray, np.ndarray, np.ndarr
     transparencies ([Gq, n]) and ``probs`` Gp rows of n! order probabilities ([Gp, n!]).
     Each result is [Gd, Gq, Gp]: entry [i, j, k] is the point (ds[i], q[j], probs[k]), and
     a single point is ``holevo_batch(n, [d], [q], [probs])`` read at [0, 0, 0]. Either grid
-    may have no rows. Each d and each row is checked once, and each point as
-    ``SwitchBlockMatrix`` checks a single one.
+    may have no rows. The blocks are ``assemble_blocks(n, ds, q, probs)``.
 
     Raises SizeLimitError if n is outside 1..MAX_ASSEMBLE_CHANNELS or a d is over
     MAX_DIMENSION, ValueError for any other bad n, ds, q or probs and for blocks that
-    ``SwitchBlockMatrix`` rejects, and NumericalError if the eigensolver fails or returns
+    the block rule rejects, and NumericalError if the eigensolver fails or returns
     an eigenvalue below -EIGENVALUE_SLACK.
     """
-    _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)
-    if np.ndim(ds) == 0 or not len(ds):
-        raise ValueError(f"expected a sequence of at least one dimension, got {ds!r}")
-    ds = [_check_dimension(v) for v in ds]
-    q = _check_transparencies(q)
-    if q.ndim != 2 or q.shape[1] != n:
-        raise ValueError(f"expected q of shape [G, {n}], got {q.shape}")
-    probs = _check_probabilities(probs, n)
-    blocks = _switch_blocks(n, ds, q, probs)
-    _check_blocks(ds, blocks)
-    shape = len(ds), len(q), len(probs)
-    h_min, h_control = (v.reshape(shape) for v in _block_entropies(ds, blocks))
+    blocks = assemble_blocks(n, ds, q, probs)
+    ds = [int(d) for d in ds]  # each checked by assemble_blocks
+    h_min, h_control = _block_entropies(ds, blocks)
     chi = np.array([math.log2(v) for v in ds])[:, None, None] + h_control - h_min
     return h_min, h_control, chi

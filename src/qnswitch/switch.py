@@ -14,13 +14,18 @@ a*I + b*rho with nonnegative coefficients. The module provides
   wires adds a factor d,
 * ``contraction_table``, the rule tabulated once per N <= 5 as the
   distinct columns of (word is I, power) pairs over the A_z and the column
-  of each (k, k'); the one block stage, behind ``holevo_batch`` and
-  ``assemble_blocks``, sums the weighted A_z once per distinct column,
+  of each (k, k'); the one block stage, ``assemble_blocks`` (which
+  ``holevo_batch`` calls), sums the weighted A_z once per distinct column,
   gathers the exact blocks and weights them by sqrt(P_k P_k'),
 * hand-expanded closed forms for N = 2 and N = 3,
 * a brute-force reference (``kraus_sum_output``) that sums the generalized
   Kraus operators over at most TUPLE_BUDGET (order, index tuple) pairs, one Gram
   product of the stacked order products per chunk, to cross-check the analytic path.
+
+The block stage and the closed forms take ``holevo_batch``'s grid (ds, q [Gq, n], probs
+[Gp, n!]), apply the grid rule first and the block rule last, and return blocks
+[Gd, Gq, Gp, 2, n!, n!]: point (ds[i], q[j], probs[k]) at [i, j, k], then I or rho,
+then block (k, k') at [k - 1, k' - 1].
 """
 
 from __future__ import annotations
@@ -77,8 +82,25 @@ def _check_order_label(n: int, k) -> None:
         raise ValueError(f"order labels must be integers in 1..{nf}, got {k!r}")
 
 
-def _check_blocks(ds: Sequence[int], blocks: np.ndarray) -> None:
-    """Reject a stack [Gd, G, 2, n!, n!] of blocks (a, b), axis 0 over ds, unless all are valid.
+def _check_grid(n: int, ds, q, probs) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(ds, q, probs) of a d by q by control grid, as ints and float arrays, if it is valid.
+
+    The package's one grid rule, in this order: the channel-count rule with the cap
+    MAX_ASSEMBLE_CHANNELS, ds a nonempty 1-D sequence of dimensions, q a [Gq, n] table
+    of transparencies, and each row of probs a control vector. Either table may be empty.
+    """
+    _check_channel_count(n, MAX_ASSEMBLE_CHANNELS)
+    if np.ndim(ds) == 0 or not len(ds):
+        raise ValueError(f"expected a sequence of at least one dimension, got {ds!r}")
+    ds = [_check_dimension(v) for v in ds]
+    q = _check_transparencies(q)
+    if q.ndim != 2 or q.shape[1] != n:
+        raise ValueError(f"expected q of shape [G, {n}], got {q.shape}")
+    return ds, q, _check_probabilities(probs, n)
+
+
+def _check_blocks(ds: Sequence[int], blocks: np.ndarray) -> np.ndarray:
+    """A grid [Gd, Gq, Gp, 2, n!, n!] of blocks (a, b), axis 0 over ds, if every point is valid.
 
     The package's one block rule: each point's a and b must be finite, exactly symmetric
     and nonnegative, and its realized trace sum_k (d*a[k,k] + b[k,k]) within 2e-12 of 1:
@@ -86,15 +108,16 @@ def _check_blocks(ds: Sequence[int], blocks: np.ndarray) -> None:
     """
     if not np.isfinite(blocks).all():
         raise ValueError("block coefficients must be finite")
-    if not (blocks == blocks.swapaxes(3, 4)).all():
+    if not (blocks == blocks.swapaxes(4, 5)).all():
         raise ValueError("block matrix must be exactly symmetric")
     if (blocks < 0).any():
         raise ValueError("block coefficients must be nonnegative")
-    traces = blocks.trace(axis1=3, axis2=4)
-    realized = np.array(ds)[:, None] * traces[..., 0] + traces[..., 1]
+    traces = blocks.trace(axis1=4, axis2=5)
+    realized = np.array(ds)[:, None, None] * traces[..., 0] + traces[..., 1]
     bad = np.flatnonzero(np.abs(realized - 1.0) > 2e-12)
     if bad.size:
         raise ValueError(f"realized trace {realized.flat[bad[0]]} != 1")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -136,35 +159,6 @@ class ControlSpec:
         probs = [0.0] * math.factorial(n)
         probs[k - 1] = 1.0
         return cls(n, tuple(probs))
-
-
-@dataclass(frozen=True)
-class SwitchBlockMatrix:
-    """The full switch output: an n! x n! array of blocks a*I + b*rho.
-
-    ``a[k-1, k'-1]`` and ``b[k-1, k'-1]`` are the identity and rho
-    coefficients of block (k, k'): finite, exactly symmetric and
-    nonnegative, with realized trace sum_k (d*a[k,k] + b[k,k]) = 1.
-    """
-
-    n: int
-    d: int
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        _check_channel_count(self.n)
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", _check_dimension(self.d))
-        nf = math.factorial(self.n)
-        if a.shape != (nf, nf) or b.shape != (nf, nf):
-            raise ValueError(f"coefficient arrays must be {nf}x{nf}")
-        _check_blocks([self.d], np.stack([a, b])[None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +260,7 @@ def contraction_table(n: int) -> ContractionTable:
 
 
 def _switch_blocks(n: int, ds: Sequence[int], q: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Control-weighted blocks [Gd, Gq*Gp, 2, n!, n!] (I, rho) of ds by q [Gq, n] by probs [Gp, n!]
+    """Control-weighted blocks [Gd, Gq, Gp, 2, n!, n!] (I, rho) of ds by q [Gq, n] by probs [Gp, n!]
 
     Per d and q row, the subset weights multiply channel by channel and the subsets
     are added one by one in table order into each distinct column, so every
@@ -292,13 +286,11 @@ def _switch_blocks(n: int, ds: Sequence[int], q: np.ndarray, probs: np.ndarray) 
     blocks = np.take(np.repeat(sums, len(probs), axis=1), table.column, axis=3)
     amps = np.tile(np.sqrt(probs), (len(q), 1))[:, None]
     blocks *= amps[..., None] * amps[..., None, :]  # each control's density, broadcast over d
-    return blocks
+    return blocks.reshape(len(ds), len(q), len(probs), *blocks.shape[2:])
 
 
-def assemble_blocks(
-    channels: Sequence[DepolarizingChannel], ctrl: ControlSpec
-) -> SwitchBlockMatrix:
-    """Exact switch output blocks from the contraction table.
+def assemble_blocks(n: int, ds, q, probs) -> np.ndarray:
+    """Exact switch output blocks [Gd, Gq, Gp, 2, n!, n!] of a grid, from the contraction table.
 
     Block (k, k') collects, over all zero-index subsets A_z,
     sqrt(P_k P_k') * w(A_z) * d^(2(z-N)) * d^power * (I or rho), where
@@ -306,21 +298,22 @@ def assemble_blocks(
     is the factored form of the subset prefactor with all (1-q_a)
     denominators cancelled, so transparent channels (q_a = 1) are regular.
     """
-    n, d = _channel_list(channels, MAX_ASSEMBLE_CHANNELS)
-    if ctrl.n != n:
-        raise ValueError(f"control is for {ctrl.n} channels, got {n}")
-    q = np.array([[ch.q for ch in channels]])
-    a, b = _switch_blocks(n, (d,), q, np.array([ctrl.probs]))[0, 0]
-    return SwitchBlockMatrix(n=n, d=d, a=a, b=b)
+    ds, q, probs = _check_grid(n, ds, q, probs)
+    return _check_blocks(ds, _switch_blocks(n, ds, q, probs))
 
 
-def _closed_form_n2_blocks(q1, q2, prob1, prob2, ds: Sequence[int]) -> np.ndarray:
-    """Two-channel blocks [Gd, G, 2, 2, 2] (I then rho) over ds for G points as arrays (or scalars).
+def closed_form_n2(ds, q, probs) -> np.ndarray:
+    """Hand-expanded switch blocks [Gd, Gq, Gp, 2, 2, 2] for two channels over a grid.
 
-    Each entry takes the operations of the expansion in ``closed_form_n2``
-    in the same order, so every point is bitwise what it gives alone.
+    With p_i = 1-q_i, r0 = p1 p2, r1 = q1 p2 + q2 p1, r2 = q1 q2, the
+    diagonal blocks are P_k [(r0+r1) I/d + r2 rho] and the off-diagonal
+    block is sqrt(P1 P2) [(r0 + d^2 r2) rho/d^2 + r1 I/d]. Each entry takes the
+    expansion's operations in the same order at every point, so it is bitwise
+    what the point gives alone.
     """
-    d, prob1, prob2 = np.broadcast_arrays(np.array(ds)[:, None], prob1, prob2)  # all [Gd, G]
+    ds, q, probs = _check_grid(2, ds, q, probs)
+    d, prob1, prob2 = np.broadcast_arrays(np.array(ds)[:, None, None], *probs.T)  # [Gd, 1, Gp]
+    q1, q2 = q.T[:, :, None]  # [Gq, 1]
     p1, p2 = 1.0 - q1, 1.0 - q2
     r0 = p1 * p2
     r1 = q1 * p2 + q2 * p1
@@ -330,38 +323,21 @@ def _closed_form_n2_blocks(q1, q2, prob1, prob2, ds: Sequence[int]) -> np.ndarra
     b_off = cross * (r0 + d * d * r2) / d**2
     a = [[prob1 * (r0 + r1) / d, a_off], [a_off, prob2 * (r0 + r1) / d]]
     b = [[prob1 * r2, b_off], [b_off, prob2 * r2]]
-    return np.array([a, b]).transpose(3, 4, 0, 1, 2)
+    return _check_blocks(ds, np.array([a, b]).transpose(3, 4, 5, 0, 1, 2))
 
 
-def closed_form_n2(q1: float, q2: float, ctrl: ControlSpec, d: int) -> SwitchBlockMatrix:
-    """Hand-expanded switch blocks for two channels.
-
-    With p_i = 1-q_i, r0 = p1 p2, r1 = q1 p2 + q2 p1, r2 = q1 q2, the
-    diagonal blocks are P_k [(r0+r1) I/d + r2 rho] and the off-diagonal
-    block is sqrt(P1 P2) [(r0 + d^2 r2) rho/d^2 + r1 I/d].
-    """
-    _check_transparencies((q1, q2))
-    if ctrl.n != 2:
-        raise ValueError("control must describe two channels")
-    d = _check_dimension(d)  # first: the expansion would compute with any d
-    a, b = _closed_form_n2_blocks(q1, q2, *ctrl.probs, [d])[0, 0]
-    return SwitchBlockMatrix(n=2, d=d, a=a, b=b)
-
-
-def closed_form_n3(
-    q1: float, q2: float, q3: float, ctrl: ControlSpec, d: int
-) -> SwitchBlockMatrix:
-    """Hand-expanded switch blocks for three channels.
+def closed_form_n3(ds, q, probs) -> np.ndarray:
+    """Hand-expanded switch blocks [Gd, Gq, Gp, 2, 6, 6] for three channels over a grid.
 
     Coefficients: s0 = p1 p2 p3, t_j = q_j * prod of the other two p's,
-    s2 = sum over pairs of q q p, s3 = q1 q2 q3. The fifteen distinct
-    off-diagonal entries below follow the causal-order labeling of
-    ``enumerate_orders(3)``.
+    s2 = sum over pairs of q q p, s3 = q1 q2 q3, and u, v, x_j are d^2 times
+    s2, s3, t_j. The fifteen distinct off-diagonal entries below follow the
+    causal-order labeling of ``enumerate_orders(3)`` and are weighted by
+    sqrt(P_k P_k'); the diagonal entries by P_k itself.
     """
-    _check_transparencies((q1, q2, q3))
-    if ctrl.n != 3:
-        raise ValueError("control must describe three channels")
-    d = _check_dimension(d)  # first: the expansion would compute with any d
+    ds, q, probs = _check_grid(3, ds, q, probs)
+    d = np.array(ds)[:, None]
+    q1, q2, q3 = q.T
     p1, p2, p3 = 1.0 - q1, 1.0 - q2, 1.0 - q3
     s0 = p1 * p2 * p3
     t1 = q1 * p2 * p3
@@ -369,54 +345,50 @@ def closed_form_n3(
     t3 = q3 * p1 * p2
     s2 = q1 * q2 * p3 + q1 * q3 * p2 + q2 * q3 * p1
     s3 = q1 * q2 * q3
-    d2, d3 = float(d) ** 2, float(d) ** 3
+    d2, d3 = d * d, d * d * d  # exact integers
+    u, v, x1, x2, x3 = d2 * s2, d2 * s3, d2 * t1, d2 * t2, d2 * t3
     off = {
-        (1, 2): ((d2 * s2 + d2 * t2 + d2 * t3 + s0) / d3, (d2 * s3 + t1) / d2),
-        (1, 3): ((d2 * s2 + d2 * t1 + d2 * t2 + s0) / d3, (d2 * s3 + t3) / d2),
-        (1, 4): ((t1 + s2) / d, (d2 * s3 + s0 + t2 + t3) / d2),
-        (1, 5): ((s2 + t3) / d, (d2 * s3 + s0 + t1 + t2) / d2),
-        (1, 6): ((d2 * s2 + s0) / d3, (d2 * s3 + t1 + t2 + t3) / d2),
-        (2, 3): ((s2 + t2) / d, (d2 * s3 + s0 + t1 + t3) / d2),
-        (2, 4): ((d2 * s2 + s0) / d3, (d2 * s3 + t1 + t2 + t3) / d2),
-        (2, 5): ((d2 * s2 + d2 * t1 + d2 * t3 + s0) / d3, (d2 * s3 + t2) / d2),
-        (2, 6): ((s2 + t1) / d, (d2 * s3 + s0 + t2 + t3) / d2),
-        (3, 4): ((d2 * s2 + d2 * t1 + d2 * t3 + s0) / d3, (d2 * s3 + t2) / d2),
-        (3, 5): ((d2 * s2 + s0) / d3, (d2 * s3 + t1 + t2 + t3) / d2),
-        (3, 6): ((s2 + t3) / d, (d2 * s3 + s0 + t1 + t2) / d2),
-        (4, 5): ((s2 + t2) / d, (d2 * s3 + s0 + t1 + t3) / d2),
-        (4, 6): ((d2 * s2 + d2 * t2 + d2 * t3 + s0) / d3, (d2 * s3 + t1) / d2),
-        (5, 6): ((d2 * s2 + d2 * t1 + d2 * t2 + s0) / d3, (d2 * s3 + t3) / d2),
+        (1, 2): ((u + x2 + x3 + s0) / d3, (v + t1) / d2),
+        (1, 3): ((u + x1 + x2 + s0) / d3, (v + t3) / d2),
+        (1, 4): ((t1 + s2) / d, (v + s0 + t2 + t3) / d2),
+        (1, 5): ((s2 + t3) / d, (v + s0 + t1 + t2) / d2),
+        (1, 6): ((u + s0) / d3, (v + t1 + t2 + t3) / d2),
+        (2, 3): ((s2 + t2) / d, (v + s0 + t1 + t3) / d2),
+        (2, 4): ((u + s0) / d3, (v + t1 + t2 + t3) / d2),
+        (2, 5): ((u + x1 + x3 + s0) / d3, (v + t2) / d2),
+        (2, 6): ((s2 + t1) / d, (v + s0 + t2 + t3) / d2),
+        (3, 4): ((u + x1 + x3 + s0) / d3, (v + t2) / d2),
+        (3, 5): ((u + s0) / d3, (v + t1 + t2 + t3) / d2),
+        (3, 6): ((s2 + t3) / d, (v + s0 + t1 + t2) / d2),
+        (4, 5): ((s2 + t2) / d, (v + s0 + t1 + t3) / d2),
+        (4, 6): ((u + x2 + x3 + s0) / d3, (v + t1) / d2),
+        (5, 6): ((u + x1 + x2 + s0) / d3, (v + t3) / d2),
     }
-    diag_a = (s0 + s2 + t1 + t2 + t3) / d
-    probs = ctrl.probs
-    a = np.zeros((6, 6))
-    b = np.zeros((6, 6))
-    for k in range(6):
-        a[k, k] = probs[k] * diag_a
-        b[k, k] = probs[k] * s3
+    coeff = np.empty((len(ds), len(q), 2, 6, 6))  # [d, q row, I or rho, k, k']
+    coeff[..., 0, range(6), range(6)] = ((s0 + s2 + t1 + t2 + t3) / d)[..., None]
+    coeff[..., 1, range(6), range(6)] = s3[:, None]
     for (k, kp), (ca, cb) in off.items():
-        w = math.sqrt(probs[k - 1] * probs[kp - 1])
-        a[k - 1, kp - 1] = a[kp - 1, k - 1] = w * ca
-        b[k - 1, kp - 1] = b[kp - 1, k - 1] = w * cb
-    return SwitchBlockMatrix(n=3, d=d, a=a, b=b)
+        coeff[..., 0, k - 1, kp - 1] = coeff[..., 0, kp - 1, k - 1] = ca
+        coeff[..., 1, k - 1, kp - 1] = coeff[..., 1, kp - 1, k - 1] = cb
+    weight = np.sqrt(probs[:, :, None] * probs[:, None, :])  # sqrt(P_k P_k'), P_k on the diagonal
+    weight[:, range(6), range(6)] = probs
+    return _check_blocks(ds, coeff[:, :, None] * weight[:, None])
 
 
-def realize(sbm: SwitchBlockMatrix, rho: DensityMatrix) -> np.ndarray:
-    """Materialize the block matrix for a concrete target state.
+def realize(blocks, rho: DensityMatrix) -> np.ndarray:
+    """Materialize one point's blocks [2, n!, n!] (I then rho) for a concrete target state.
 
-    Returns the dense (d*n!) x (d*n!) matrix whose (k, k') block occupies
-    rows and columns [(k-1)*d, k*d).
+    The blocks must pass the block rule at d = rho.d. Returns the dense (d*n!) x (d*n!)
+    matrix, bitwise kron(a, I) + kron(b, rho), whose (k, k') block occupies rows and
+    columns [(k-1)*d, k*d).
     """
-    if rho.d != sbm.d:
-        raise ValueError(f"state dimension {rho.d} != block dimension {sbm.d}")
-    return _realize(np.stack([sbm.a, sbm.b])[None], rho.entries[None])[0]
-
-
-def _realize(blocks: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Dense outputs [G, n! d, n! d] of blocks [G, 2, n!, n!] at rhos [G, d, d], kron's bits."""
-    a, b = blocks[:, 0, :, None, :, None], blocks[:, 1, :, None, :, None]
-    dense = a * np.eye(rhos.shape[-1], dtype=complex)[:, None] + b * rhos[:, None, :, None]
-    return dense.reshape(len(blocks), dense.shape[1] * dense.shape[2], -1)
+    blocks = _real_array(blocks, "block coefficients")
+    if blocks.ndim != 3 or len(blocks) != 2 or blocks.shape[1] != blocks.shape[2]:
+        raise ValueError(f"expected blocks of shape [2, n!, n!], got {blocks.shape}")
+    _check_blocks([rho.d], blocks[None, None, None])
+    a, b = blocks[0, :, None, :, None], blocks[1, :, None, :, None]
+    dense = a * np.eye(rho.d, dtype=complex)[:, None] + b * rho.entries[:, None]
+    return dense.reshape(len(a) * rho.d, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Each suite exercises one exact identity or cross-check at small sizes and
 reports pass/fail with a short detail string. The expected contraction
 tables for two and three channels are frozen here; they double as
-regression data for the test suite. Each (n, d)'s oracle points are one checked
-stack; the N = 2 entropy points and each N's chi bounds are one block and one
-spectral call over every d. Only the brute-force sum runs per point.
+regression data for the test suite. Every check calls the public oracles with
+``holevo_batch``'s grid: the oracle points of each (n, d) are the diagonal of one
+q-by-control grid, and the N = 2 entropy points and each N's chi bounds one grid
+over every d. Only the brute-force sum runs per point.
 """
 
 from __future__ import annotations
@@ -164,17 +165,14 @@ def check_switch_completeness(rng: np.random.Generator) -> CheckResult:
 def check_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for n, d in product((2, 3), (2, 3)):
-        points = []
-        for _ in range(3):
-            chans = [ch.DepolarizingChannel(q, d) for q in rng.uniform(size=n)]
-            ctrl = sw.ControlSpec(n, tuple(rng.dirichlet(np.ones(math.factorial(n)))))
-            points.append((chans, ctrl, ch.random_density(d, rng)))
-        chan_sets, ctrls, rhos = zip(*points)  # the blocks: the 3 x 3 q-by-P grid's diagonal
-        q = np.array([[c.q for c in chans] for chans in chan_sets])
-        blocks = sw._switch_blocks(n, (d,), q, np.array([c.probs for c in ctrls]))[:, ::4]
-        sw._check_blocks([d], blocks)
-        for out, point in zip(sw._realize(blocks[0], np.array([r.entries for r in rhos])), points):
-            worst = max(worst, np.abs(out - sw.kraus_sum_output(*point)).max())
+        draws = [(rng.uniform(size=n), rng.dirichlet(np.ones(math.factorial(n))),
+                  ch.random_density(d, rng)) for _ in range(3)]
+        qs, controls, _ = zip(*draws)
+        grid = sw.assemble_blocks(n, [d], qs, controls)[0]  # point i: q row i, control i
+        for i, (q, probs, rho) in enumerate(draws):
+            chans = [ch.DepolarizingChannel(x, d) for x in q]
+            reference = sw.kraus_sum_output(chans, sw.ControlSpec(n, tuple(probs)), rho)
+            worst = max(worst, np.abs(sw.realize(grid[i, i], rho) - reference).max())
     return _result("assembled blocks vs brute-force sum", worst, 1e-10)
 
 
@@ -199,24 +197,20 @@ def check_closed_forms(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for d in (2, 3):
         for n, closed_form in ((2, sw.closed_form_n2), (3, sw.closed_form_n3)):
-            qs = rng.uniform(size=n)
-            ctrl = sw.ControlSpec(n, tuple(rng.dirichlet(np.ones(math.factorial(n)))))
-            closed = closed_form(*qs, ctrl, d)
-            built = sw.assemble_blocks([ch.DepolarizingChannel(q, d) for q in qs], ctrl)
-            worst = max(worst, np.abs(closed.a - built.a).max(), np.abs(closed.b - built.b).max())
+            q = [rng.uniform(size=n)]
+            probs = [rng.dirichlet(np.ones(math.factorial(n)))]
+            closed = closed_form([d], q, probs)
+            worst = max(worst, np.abs(closed - sw.assemble_blocks(n, [d], q, probs)).max())
     return _result("closed forms vs assembly", worst, 1e-14)
 
 
 def check_min_entropy_consistency(rng: np.random.Generator) -> CheckResult:
     grid = np.linspace(0.0, 1.0, 5)
-    q1, q2, p = np.array(list(product(grid, grid, (0.2, 0.5, 0.9)))).T
-    ch._check_transparencies((q1, q2))
-    sw._check_probabilities(np.stack([p, 1.0 - p], axis=1), 2)
+    q = list(product(grid, grid))
+    probs = [(p, 1.0 - p) for p in (0.2, 0.5, 0.9)]
     ds = [2, 3]
-    blocks = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, ds)
-    sw._check_blocks(ds, blocks)
-    h_min, _ = hv._block_entropies(ds, blocks)
-    worst = np.abs(h_min - hv._min_output_entropy_n2(q1, q2, p, ds)).max()
+    h_min, _ = hv._block_entropies(ds, sw.closed_form_n2(ds, q, probs))
+    worst = np.abs(h_min - hv.min_output_entropy_n2(ds, q, probs)).max()
     return _result("closed-form vs eigensolver entropy", worst, 1e-10)
 
 

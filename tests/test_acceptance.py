@@ -97,17 +97,17 @@ def test_criterion_3_closed_form_consistency():
             )
             generic = holevo_batch(2, [d], [(0.0, 0.0)], [(0.5, 0.5)])[0][0, 0, 0]
             assert abs(corner - generic) < 1e-10
-            assert abs(min_output_entropy_n2(0.0, 0.0, 0.5, d) - generic) < 1e-10
+            closed = min_output_entropy_n2([d], [(0.0, 0.0)], [(0.5, 0.5)])[0, 0, 0]
+            assert abs(closed - generic) < 1e-10
             q2s = np.linspace(0.0, 1.0, 5)
-            ps = (0.25, 0.5)
-            h_min = holevo_batch(2, [d], [(1.0, q2) for q2 in q2s], [(p, 1.0 - p) for p in ps])[0]
+            q, probs = [(1.0, q2) for q2 in q2s], [(p, 1.0 - p) for p in (0.25, 0.5)]
+            h_min = holevo_batch(2, [d], q, probs)[0][0]
+            closed = min_output_entropy_n2([d], q, probs)[0]
             for i, q2 in enumerate(q2s):
                 p2 = 1.0 - q2
                 two_term = -((d - 1) * xlog2x(p2 / d) + xlog2x(p2 / d + q2))
-                for j, p in enumerate(ps):
-                    generic = h_min[0, i, j]
-                    assert abs(two_term - generic) < 1e-10
-                    assert abs(min_output_entropy_n2(1.0, q2, p, d) - generic) < 1e-10
+                assert np.abs(two_term - h_min[i]).max() < 1e-10
+                assert np.abs(closed[i] - h_min[i]).max() < 1e-10
 
 
 def test_criterion_4_brute_force_equivalence():
@@ -116,11 +116,12 @@ def test_criterion_4_brute_force_equivalence():
         rng = np.random.default_rng(42)
         for n, d in product((2, 3), (2, 3)):
             for _ in range(20):
-                chans = [DepolarizingChannel(q, d) for q in rng.uniform(size=n)]
-                ctrl = ControlSpec(n, tuple(rng.dirichlet(np.ones(math.factorial(n)))))
+                q = rng.uniform(size=n)
+                probs = rng.dirichlet(np.ones(math.factorial(n)))
                 rho = random_density(d, rng)
-                dense = realize(assemble_blocks(chans, ctrl), rho)
-                reference = kraus_sum_output(chans, ctrl, rho)
+                dense = realize(assemble_blocks(n, [d], [q], [probs])[0, 0, 0], rho)
+                chans = [DepolarizingChannel(x, d) for x in q]
+                reference = kraus_sum_output(chans, ControlSpec(n, tuple(probs)), rho)
                 assert np.abs(dense - reference).max() < 1e-10, (n, d)
         assert time.monotonic() - start < 60.0
 
@@ -158,12 +159,11 @@ def test_criterion_7_structural_properties():
         rng = np.random.default_rng(11)
         for n, d in product((2, 3), (2, 3)):
             nf = math.factorial(n)
-            chans = [DepolarizingChannel(q, d) for q in rng.uniform(size=n)]
-            ctrl = ControlSpec(n, tuple(rng.dirichlet(np.ones(nf))))
-            sbm = assemble_blocks(chans, ctrl)
-            assert np.array_equal(sbm.a, sbm.a.T) and np.array_equal(sbm.b, sbm.b.T)
-            assert abs(d * np.trace(sbm.a) + np.trace(sbm.b) - 1.0) < 1e-12
-            dense = realize(sbm, random_density(d, rng))
+            q, probs = rng.uniform(size=n), rng.dirichlet(np.ones(nf))
+            a, b = assemble_blocks(n, [d], [q], [probs])[0, 0, 0]
+            assert np.array_equal(a, a.T) and np.array_equal(b, b.T)
+            assert abs(d * np.trace(a) + np.trace(b) - 1.0) < 1e-12
+            dense = realize([a, b], random_density(d, rng))
             assert abs(np.trace(dense) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(dense).min() >= -1e-10
             probs = [ControlSpec.uniform(n).probs, ControlSpec.definite(n, 1).probs]

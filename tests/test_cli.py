@@ -851,20 +851,24 @@ class TestVerifyGatesTheSweepStages:
         import qnswitch.switch as sw
 
         def shift_one_entry(dense):
-            dense[:, 0, 0] += 1e-9
+            dense[0, 0] += 1e-9
             return dense
 
-        failed = self.failed(monkeypatch, sw, "_realize", shift_one_entry)
+        failed = self.failed(monkeypatch, sw, "realize", shift_one_entry)
         assert "assembled blocks vs brute-force sum" in failed
 
     def test_two_channel_closed_form_stage(self, monkeypatch):
         import qnswitch.switch as sw
 
         # Shrunk, so every point stays positive.
-        failed = self.failed(
-            monkeypatch, sw, "_closed_form_n2_blocks", self.scale_one_pair(1.0 - 1e-6)
-        )
+        failed = self.failed(monkeypatch, sw, "closed_form_n2", self.scale_one_pair(1.0 - 1e-6))
         assert {"closed forms vs assembly", "closed-form vs eigensolver entropy"} <= failed
+
+    def test_three_channel_closed_form_stage(self, monkeypatch):
+        import qnswitch.switch as sw
+
+        failed = self.failed(monkeypatch, sw, "closed_form_n3", self.scale_one_pair(1.0 + 1e-9))
+        assert failed == {"closed forms vs assembly"}
 
     def test_order_array(self, monkeypatch):
         import qnswitch.symgroup as sg

@@ -19,6 +19,10 @@ The ``table1`` fixtures are what ``qnswitch table1`` printed by default and
 with ``--d-max 15`` before each contraction became a read of the
 contraction table.
 
+The ``verify_seed*`` fixtures are what ``qnswitch verify`` printed for seeds 42
+and 7 while its oracles still took per-point channel and control objects; their
+deviations are rounding residues, so they follow the BLAS kernel too.
+
 The ``GRID_CASES`` have no fixture: their reference is the CSV written one
 point at a time, each q tuple of the grid by each control as its own
 1 x 1 x 1 grid of ``holevo_batch``.
@@ -106,6 +110,7 @@ HOLEVO_CASES = {
 
 
 TABLE1_CASES = {"table1": [], "table1_d15": ["--d-max", "15"]}
+VERIFY_SEEDS = [42, 7]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -168,6 +173,14 @@ def test_table1_matches_golden_bytes(name, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / f"{name}.csv").read_bytes(), KERNEL
+
+
+@pytest.mark.parametrize("seed", VERIFY_SEEDS)
+def test_verify_matches_golden_bytes(seed, capsys):
+    assert main(["verify", "--seed", str(seed)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / f"verify_seed{seed}.txt").read_bytes(), KERNEL
 
 
 # (n, dimensions, per-channel q lists or None, linked q list or None, controls).

@@ -16,21 +16,8 @@ from qnswitch.channels import (
 )
 import qnswitch.switch as sw
 from qnswitch.errors import NumericalError, SizeLimitError
-from qnswitch.holevo import (
-    EIGENVALUE_SLACK,
-    _entropy_rows,
-    _min_output_entropy_n2,
-    holevo_batch,
-    min_output_entropy_n2,
-)
-from qnswitch.switch import (
-    ControlSpec,
-    SwitchBlockMatrix,
-    assemble_blocks,
-    closed_form_n2,
-    closed_form_n3,
-    realize,
-)
+from qnswitch.holevo import EIGENVALUE_SLACK, _entropy_rows, holevo_batch, min_output_entropy_n2
+from qnswitch.switch import ControlSpec, assemble_blocks, closed_form_n2, closed_form_n3, realize
 from qnswitch.symgroup import enumerate_orders
 from reference import apply_depolarizing
 
@@ -40,12 +27,22 @@ def entropy_of(probabilities):
 
 
 def two_channel_blocks(q1, q2, p, d):
-    return closed_form_n2(q1, q2, ControlSpec(2, (p, 1.0 - p)), d)
+    return closed_form_n2([d], [(q1, q2)], [(p, 1.0 - p)])[0, 0, 0]
 
 
-def control_marginal(sbm):
+def point_blocks(n, d, q, probs):
+    """The blocks [2, n!, n!] of one point: the 1 x 1 x 1 grid of ``assemble_blocks``."""
+    return assemble_blocks(n, [d], [q], [probs])[0, 0, 0]
+
+
+def min_entropy_n2(q1, q2, p, d):
+    """``min_output_entropy_n2`` of one point: its 1 x 1 x 1 grid."""
+    return float(min_output_entropy_n2([d], [(q1, q2)], [(p, 1.0 - p)])[0, 0, 0])
+
+
+def control_marginal(d, blocks):
     """The reduced control state: tracing a block a*I + b*rho over the target gives d*a + b."""
-    return sbm.d * sbm.a + sbm.b
+    return d * blocks[0] + blocks[1]
 
 
 def holevo_point(n, d, q, probs):
@@ -59,13 +56,13 @@ def _reference_entropy(spectrum):
     return (-(v * np.log2(v))).sum() + 0.0
 
 
-def reference_min_entropy(sbm):
-    """H_min of one block matrix from numpy's spectra of its pencil alone.
+def reference_min_entropy(d, blocks):
+    """H_min of one point's blocks [2, n!, n!] from numpy's spectra of its pencil alone.
 
     At a one-hot target the output is a + b once and a d - 1 times, each n! x n!.
     """
-    top, rest = np.linalg.eigvalsh(sbm.a + sbm.b), np.linalg.eigvalsh(sbm.a)
-    return _reference_entropy(np.concatenate([top, np.tile(rest, sbm.d - 1)]))
+    top, rest = np.linalg.eigvalsh(blocks[0] + blocks[1]), np.linalg.eigvalsh(blocks[0])
+    return _reference_entropy(np.concatenate([top, np.tile(rest, d - 1)]))
 
 
 class TestVonNeumannEntropy:
@@ -82,7 +79,7 @@ class TestVonNeumannEntropy:
         assert _entropy_rows(spectra).tolist() == [0.0, 0.0]
 
     def test_control_marginal_of_erased_qubit_pair(self):
-        marginal = control_marginal(two_channel_blocks(0.0, 0.0, 0.5, 2))
+        marginal = control_marginal(2, two_channel_blocks(0.0, 0.0, 0.5, 2))
         np.testing.assert_allclose(marginal, [[0.5, 0.125], [0.125, 0.5]], atol=1e-15)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(marginal), [0.375, 0.625], atol=1e-15
@@ -130,8 +127,7 @@ class TestControlMarginal:
     def test_diagonal_equals_probs(self, rng):
         for n, d in ((2, 2), (3, 2), (3, 3)):
             probs = tuple(rng.dirichlet(np.ones(math.factorial(n))))
-            chans = [DepolarizingChannel(q, d) for q in rng.uniform(size=n)]
-            marginal = control_marginal(assemble_blocks(chans, ControlSpec(n, probs)))
+            marginal = control_marginal(d, point_blocks(n, d, rng.uniform(size=n), probs))
             np.testing.assert_allclose(np.diag(marginal), probs, atol=1e-12)
             assert abs(np.trace(marginal) - 1.0) < 1e-12
 
@@ -140,21 +136,19 @@ class TestControlMarginal:
         r0 = (1 - q1) * (1 - q2)
         r1 = q1 * (1 - q2) + q2 * (1 - q1)
         r2 = q1 * q2
-        marginal = control_marginal(two_channel_blocks(q1, q2, p, d))
+        marginal = control_marginal(d, two_channel_blocks(q1, q2, p, d))
         expected = math.sqrt(p * (1 - p)) * (r0 / d**2 + r1 + r2)
         assert marginal[0, 1] == pytest.approx(expected, abs=1e-15)
 
     def test_transparent_channels_leave_control_untouched(self, rng):
         ctrl = ControlSpec(2, (0.3, 0.7))
-        marginal = control_marginal(closed_form_n2(1.0, 1.0, ctrl, 2))
+        marginal = control_marginal(2, closed_form_n2([2], [(1.0, 1.0)], [ctrl.probs])[0, 0, 0])
         np.testing.assert_allclose(marginal, ctrl.density(), atol=1e-15)
 
     def test_matches_partial_trace_of_realization(self, rng):
         n, d = 3, 2
-        chans = [DepolarizingChannel(q, d) for q in rng.uniform(size=n)]
-        ctrl = ControlSpec(n, tuple(rng.dirichlet(np.ones(6))))
-        sbm = assemble_blocks(chans, ctrl)
-        dense = realize(sbm, random_density(d, rng))
+        blocks = point_blocks(n, d, rng.uniform(size=n), rng.dirichlet(np.ones(6)))
+        dense = realize(blocks, random_density(d, rng))
         nf = math.factorial(n)
         traced = np.zeros((nf, nf))
         for k in range(nf):
@@ -162,7 +156,7 @@ class TestControlMarginal:
                 traced[k, kp] = np.trace(
                     dense[k * d : (k + 1) * d, kp * d : (kp + 1) * d]
                 ).real
-        np.testing.assert_allclose(control_marginal(sbm), traced, atol=1e-12)
+        np.testing.assert_allclose(control_marginal(d, blocks), traced, atol=1e-12)
 
 
 class TestMinOutputEntropy:
@@ -191,10 +185,10 @@ class TestMinOutputEntropy:
 
     def test_one_hot_position_symmetry(self, rng):
         d, q, probs = 3, tuple(rng.uniform(size=2)), (0.4, 0.6)
-        sbm = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(2, probs))
+        blocks = point_blocks(2, d, q, probs)
         entropies = []
         for index in range(d):
-            dense = realize(sbm, DensityMatrix.basis_state(d, index))
+            dense = realize(blocks, DensityMatrix.basis_state(d, index))
             entropies.append(_reference_entropy(np.linalg.eigvalsh(dense)))
         assert max(entropies) - min(entropies) < 1e-12
         h_min, _, _ = holevo_point(2, d, q, probs)
@@ -203,8 +197,8 @@ class TestMinOutputEntropy:
 
 class TestMinOutputEntropyClosedForm:
     def test_fully_depolarizing_corner(self):
-        for d in (2, 3, 10):
-            value = min_output_entropy_n2(0.0, 0.0, 0.5, d)
+        values = min_output_entropy_n2((2, 3, 10), [(0.0, 0.0)], [(0.5, 0.5)])[:, 0, 0]
+        for d, value in zip((2, 3, 10), values):
             expected = (
                 math.log2(2 * d)
                 - math.log2((d + 1) / (d - 1)) / (2 * d**2)
@@ -213,7 +207,7 @@ class TestMinOutputEntropyClosedForm:
             assert value == pytest.approx(expected, abs=1e-12)
 
     def test_both_transparent(self):
-        assert min_output_entropy_n2(1.0, 1.0, 0.5, 2) == pytest.approx(0.0, abs=1e-12)
+        assert min_entropy_n2(1.0, 1.0, 0.5, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_transparent_depends_only_on_other_channel(self):
         d, q2 = 2, 0.5
@@ -222,25 +216,28 @@ class TestMinOutputEntropyClosedForm:
             (d - 1) * (p2 / d) * math.log2(p2 / d)
             + (p2 / d + q2) * math.log2(p2 / d + q2)
         )
-        for p in (0.1, 0.5, 0.9):
-            assert min_output_entropy_n2(1.0, q2, p, d) == pytest.approx(
-                expected, abs=1e-12
-            )
+        values = min_output_entropy_n2([d], [(1.0, q2)], [(p, 1.0 - p) for p in (0.1, 0.5, 0.9)])
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_agrees_with_eigensolver_on_grid(self, d):
         grid = np.linspace(0.0, 1.0, 5)
         qs = list(product(grid, grid))
-        generic = holevo_batch(2, [d], qs, [(p, 1.0 - p) for p in grid])[0][0]
-        for ((i, (q1, q2)), (j, p)) in product(enumerate(qs), enumerate(grid)):
-            closed = min_output_entropy_n2(q1, q2, p, d)
-            assert abs(closed - generic[i, j]) < 1e-10
+        probs = [(p, 1.0 - p) for p in grid]
+        generic = holevo_batch(2, [d], qs, probs)[0]
+        assert np.abs(min_output_entropy_n2([d], qs, probs) - generic).max() < 1e-10
 
     def test_parameter_guards(self):
-        with pytest.raises(ValueError):
-            min_output_entropy_n2(1.2, 0.5, 0.5, 2)
-        with pytest.raises(ValueError):
-            min_output_entropy_n2(0.5, 0.5, 0.5, 1)
+        # The grid rule: the channel count is 2, then each d, q and control row.
+        for ds, q, probs, message in (
+            ([2], [(1.2, 0.5)], [(0.5, 0.5)], "transparency"),
+            ([1], [(0.5, 0.5)], [(0.5, 0.5)], "dimension"),
+            ([2], [(0.5, 0.5, 0.5)], [(0.5, 0.5)], "shape"),
+            ([2], [(0.5, 0.5)], [(0.5, 0.5), (0.7, 0.7)], "sum to 1"),
+            ([2], [(0.5, 0.5)], [(1.0 / 6,) * 6], "expected 2 probabilities"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                min_output_entropy_n2(ds, q, probs)
 
 
 def scalar_min_output_entropy_n2(q1, q2, p, d):
@@ -262,16 +259,16 @@ _UNIT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=25, deadline=None)
-@given(points=st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=1, max_size=8),
-       d=st.integers(2, 6))
-def test_two_channel_entropy_kernel_is_the_per_point_call(points, d):
+@given(qs=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=4),
+       ps=st.lists(_UNIT, min_size=1, max_size=3), d=st.integers(2, 6))
+def test_two_channel_entropy_kernel_is_the_per_point_call(qs, ps, d):
     # np.log2 and math.log2 differ by an ulp on a few inputs, so the scalar
     # expansion is matched within 1e-14 and the per-point call bitwise.
-    stack = _min_output_entropy_n2(*np.array(points).T, [d])[0]
-    single = np.array([min_output_entropy_n2(*point, d) for point in points])
-    assert stack.tobytes() == single.tobytes()
-    for value, point in zip(stack.tolist(), points):
-        assert abs(value - scalar_min_output_entropy_n2(*point, d)) <= 1e-14
+    grid = min_output_entropy_n2([d], qs, [(p, 1.0 - p) for p in ps])[0]
+    assert grid.shape == (len(qs), len(ps))
+    for (i, q), (j, p) in product(enumerate(qs), enumerate(ps)):
+        assert grid[i, j].tobytes() == np.float64(min_entropy_n2(*q, p, d)).tobytes()
+        assert abs(grid[i, j] - scalar_min_output_entropy_n2(*q, p, d)) <= 1e-14
 
 
 class TestHolevoInformation:
@@ -318,9 +315,8 @@ class TestHolevoInformation:
             d = int(rng.integers(2, 4))
             q = tuple(rng.uniform(size=n))
             probs = tuple(rng.dirichlet(np.ones(math.factorial(n))))
-            sbm = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(n, probs))
             pure = DensityMatrix.pure(rng.normal(size=d) + 1j * rng.normal(size=d))
-            dense = realize(sbm, pure)
+            dense = realize(point_blocks(n, d, q, probs), pure)
             h_min, _, _ = holevo_point(n, d, q, probs)
             assert _reference_entropy(np.linalg.eigvalsh(dense)) >= h_min - 1e-9
 
@@ -399,17 +395,14 @@ def test_channel_relabeling_invariance(n, d, data):
     q_new, probs_new = _relabeled(n, q, probs, sigma)
     chi = holevo_batch(n, [d], [q, q_new], [probs, probs_new])[2][0]
     assert chi[1, 1] == pytest.approx(chi[0, 0], abs=1e-12)
-    blocks = [
-        assemble_blocks([DepolarizingChannel(x, d) for x in qs], ControlSpec(n, ps))
-        for qs, ps in ((q, probs), (q_new, probs_new))
-    ]
-    for view in (lambda m: m.a + m.b, lambda m: m.a, control_marginal):
+    blocks = [point_blocks(n, d, qs, ps) for qs, ps in ((q, probs), (q_new, probs_new))]
+    for view in (lambda m: m[0] + m[1], lambda m: m[0], lambda m: control_marginal(d, m)):
         before, after = (np.linalg.eigvalsh(view(m)) for m in blocks)
         assert np.abs(before - after).max() <= 1e-12
 
 
 def _per_point_blocks(n, d, q, probs):
-    """The block matrix of one point, summed subset by subset in table order.
+    """The blocks [2, n!, n!] of one point, summed subset by subset in table order.
 
     Each subset's row of the table is gathered to every (k, k') through
     ``column`` before it is weighted and added, so the per-column sums the
@@ -429,8 +422,7 @@ def _per_point_blocks(n, d, q, probs):
         # leaves its bits as they are.
         term = weight * float(d) ** power[table.column].astype(float)
         coeff += np.stack([word_is_identity, ~word_is_identity]) * term
-    density = ControlSpec(n, probs).density()
-    return SwitchBlockMatrix(n=n, d=d, a=coeff[0] * density, b=coeff[1] * density)
+    return coeff * ControlSpec(n, probs).density()
 
 
 def _control(n, kind, raw):
@@ -462,12 +454,12 @@ def test_batch_is_bitwise_the_per_point_path(n, d, data):
         controls.append(_control(n, kind, raw))
     h_min, h_control, chi = holevo_batch(n, [d], qs, controls)
     assert h_min.shape == h_control.shape == chi.shape == (1, len(qs), len(controls))
+    built = assemble_blocks(n, [d], qs, controls)
     for (i, q), (j, probs) in product(enumerate(qs), enumerate(controls)):
-        sbm = _per_point_blocks(n, d, q, probs)
-        built = assemble_blocks([DepolarizingChannel(x, d) for x in q], ControlSpec(n, probs))
-        assert built.a.tobytes() == sbm.a.tobytes() and built.b.tobytes() == sbm.b.tobytes()
-        ref_min = reference_min_entropy(sbm)
-        ref_control = _reference_entropy(np.linalg.eigvalsh(control_marginal(sbm)))
+        blocks = _per_point_blocks(n, d, q, probs)
+        assert built[0, i, j].tobytes() == blocks.tobytes()
+        ref_min = reference_min_entropy(d, blocks)
+        ref_control = _reference_entropy(np.linalg.eigvalsh(control_marginal(d, blocks)))
         ref_chi = math.log2(d) + ref_control - ref_min
         got = (h_min[0, i, j], h_control[0, i, j], chi[0, i, j])
         assert np.array(got).tobytes() == np.array([ref_min, ref_control, ref_chi]).tobytes()
@@ -529,11 +521,10 @@ def test_powers_of_d_are_pythons(n):
     # blocks at d = 55 must be the per-point sum's, which takes Python's.
     q = tuple(np.linspace(0.2, 0.7, n))
     probs = ControlSpec.uniform(n).probs
-    sbm = _per_point_blocks(n, 55, q, probs)
-    built = sw._switch_blocks(n, [2, 55], np.array([q]), np.array([probs]))[1, 0]
-    assert built.tobytes() == np.stack([sbm.a, sbm.b]).tobytes()
+    blocks = _per_point_blocks(n, 55, q, probs)
+    assert assemble_blocks(n, [2, 55], [q], [probs])[1, 0, 0].tobytes() == blocks.tobytes()
     h_min = holevo_batch(n, [2, 55], [q], [probs])[0][1, 0, 0]
-    assert h_min.tobytes() == np.float64(reference_min_entropy(sbm)).tobytes()
+    assert h_min.tobytes() == np.float64(reference_min_entropy(55, blocks)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [1, 2.5, math.nan, "3", None])
@@ -584,16 +575,15 @@ def test_d_is_a_one_dimensional_sequence(ds, message):
 def test_two_channel_batch_matches_closed_forms(d):
     grid = np.linspace(0.0, 1.0, 6)
     qs = list(product(grid, grid))
-    ps = (0.0, 0.2, 0.5, 0.9, 1.0)
-    h_min, h_control, chi = (v[0] for v in holevo_batch(2, [d], qs, [(p, 1.0 - p) for p in ps]))
-    assert chi.shape == (len(qs), len(ps))
-    for (i, (q1, q2)), (j, p) in product(enumerate(qs), enumerate(ps)):
-        closed = closed_form_n2(q1, q2, ControlSpec(2, (p, 1.0 - p)), d)
-        ref_min = min_output_entropy_n2(q1, q2, p, d)
-        ref_control = _reference_entropy(np.linalg.eigvalsh(control_marginal(closed)))
-        assert abs(h_min[i, j] - ref_min) <= 1e-12
+    probs = [(p, 1.0 - p) for p in (0.0, 0.2, 0.5, 0.9, 1.0)]
+    h_min, h_control, chi = (v[0] for v in holevo_batch(2, [d], qs, probs))
+    assert chi.shape == (len(qs), len(probs))
+    closed, ref_min = closed_form_n2([d], qs, probs)[0], min_output_entropy_n2([d], qs, probs)[0]
+    for i, j in product(range(len(qs)), range(len(probs))):
+        ref_control = _reference_entropy(np.linalg.eigvalsh(control_marginal(d, closed[i, j])))
+        assert abs(h_min[i, j] - ref_min[i, j]) <= 1e-12
         assert abs(h_control[i, j] - ref_control) <= 1e-12
-        assert abs(chi[i, j] - (math.log2(d) + ref_control - ref_min)) <= 1e-12
+        assert abs(chi[i, j] - (math.log2(d) + ref_control - ref_min[i, j])) <= 1e-12
 
 
 class TestHolevoBatchArguments:
@@ -627,17 +617,17 @@ class TestHolevoBatchArguments:
         with pytest.raises(ValueError, match=message):
             holevo_batch(2, [2], qs, [(0.5, 0.5), (0.2, 0.8), bad])
 
-    # Every entry point that takes d applies the one dimension rule.
+    # Every entry point that takes d applies the one dimension rule; the grid
+    # forms take d as a one-entry d axis.
     TAKES_D = (
-        lambda d: holevo_batch(2, [d], [(0.5, 0.5)], [(0.5, 0.5)]),  # d as a one-entry d axis
+        lambda d: holevo_batch(2, [d], [(0.5, 0.5)], [(0.5, 0.5)]),
         lambda d: DepolarizingChannel(0.5, d),
         weyl_basis,
         lambda d: kraus_set(0.5, d),
-        lambda d: min_output_entropy_n2(0.5, 0.5, 0.5, d),
-        lambda d: closed_form_n2(0.5, 0.5, ControlSpec.uniform(2), d),
-        lambda d: closed_form_n3(0.5, 0.5, 0.5, ControlSpec.uniform(3), d),
-        # a = 0 and a unit-trace b pass every block test at any d.
-        lambda d: SwitchBlockMatrix(n=2, d=d, a=np.zeros((2, 2)), b=np.eye(2) / 2),
+        lambda d: min_output_entropy_n2([d], [(0.5, 0.5)], [(0.5, 0.5)]),
+        lambda d: closed_form_n2([d], [(0.5, 0.5)], [(0.5, 0.5)]),
+        lambda d: closed_form_n3([d], [(0.5,) * 3], [(1.0 / 6,) * 6]),
+        lambda d: assemble_blocks(2, [d], [(0.5, 0.5)], [(0.5, 0.5)]),
     )
 
     def test_rejects_bad_sizes(self):
@@ -678,10 +668,11 @@ class TestHolevoBatchArguments:
             lambda q: DepolarizingChannel(q, 2),
             lambda q: kraus_set(q, 2),
             lambda q: apply_depolarizing(DensityMatrix.maximally_mixed(2), q),
-            lambda q: min_output_entropy_n2(q, 0.5, 0.5, 2),
+            lambda q: min_output_entropy_n2([2], [(q, 0.5)], [(0.5, 0.5)]),
             lambda q: holevo_batch(2, [2], [(0.5, q)], [(0.5, 0.5)]),
-            lambda q: closed_form_n2(q, 0.5, ControlSpec.uniform(2), 2),
-            lambda q: closed_form_n3(0.5, 0.5, q, ControlSpec.uniform(3), 2),
+            lambda q: assemble_blocks(2, [2], [(0.5, 0.5), (0.5, q)], [(0.5, 0.5)]),
+            lambda q: closed_form_n2([2], [(q, 0.5)], [(0.5, 0.5)]),
+            lambda q: closed_form_n3([2], [(0.5, 0.5, q)], [(1.0 / 6,) * 6]),
         ):
             with pytest.raises(ValueError, match="transparency"):
                 make(q)
@@ -695,9 +686,9 @@ class TestHolevoBatchArguments:
             lambda: DepolarizingChannel(0.5 + 0.1j, 2),
             lambda: kraus_set(0.5j, 2),
             lambda: ControlSpec(2, (0.5, 0.5 + 0j)),
-            lambda: closed_form_n2(0.5, 0.5j, ControlSpec.uniform(2), 2),
-            lambda: min_output_entropy_n2(0.5j, 0.5, 0.5, 2),
-            lambda: min_output_entropy_n2(0.5, 0.5, 0.5 + 0j, 2),
+            lambda: closed_form_n2([2], [(0.5, 0.5j)], [(0.5, 0.5)]),
+            lambda: min_output_entropy_n2([2], [(0.5j, 0.5)], [(0.5, 0.5)]),
+            lambda: min_output_entropy_n2([2], [(0.5, 0.5)], [(0.5, 0.5 + 0j)]),
             lambda: holevo_batch(2, [2], [[Fraction(1, 2), 0.5j]], [(0.5, 0.5)]),
             lambda: DepolarizingChannel([0.5, 0.5], 2),
             lambda: DepolarizingChannel(np.array([0.5]), 2),
@@ -705,13 +696,16 @@ class TestHolevoBatchArguments:
             lambda: holevo_batch(2, [2], [(0.5, 0.5)], [[Fraction(1, 2), 0.5j]]),
             lambda: DepolarizingChannel("0.5", 2),
             lambda: holevo_batch(2, [2], [(0.5, 0.5)], [("0.5", "0.5")]),
+            lambda: closed_form_n3([2], [(0.5,) * 3], [(1.0 / 6,) * 5 + (1.0 / 6 + 0j,)]),
+            lambda: realize([np.zeros((1, 1)), np.ones((1, 1), dtype=complex)],
+                            DensityMatrix.basis_state(2)),
         ],
         ids=[
             "holevo_batch-q", "holevo_batch-q-array", "holevo_batch-probs", "DepolarizingChannel",
             "kraus_set", "ControlSpec", "closed_form_n2", "min_output_entropy_n2-q",
             "min_output_entropy_n2-p", "holevo_batch-q-object-array", "DepolarizingChannel-list",
             "DepolarizingChannel-array", "kraus_set-list", "holevo_batch-probs-object-array",
-            "DepolarizingChannel-str", "holevo_batch-probs-str",
+            "DepolarizingChannel-str", "holevo_batch-probs-str", "closed_form_n3", "realize",
         ],
     )
     def test_complex_inputs_are_value_errors(self, make):
@@ -725,23 +719,21 @@ class TestHolevoBatchArguments:
     @pytest.mark.parametrize(
         "entries,factor,message",
         [
-            ([(0, 1, 0, 0, 1)], 2.0, "symmetric"),
-            ([(0, 1, 1, 0, 1), (0, 1, 1, 1, 0)], -1.0, "nonnegative"),
-            ([(0, 2, 0, 0, 0)], 2.0, "trace"),
+            ([(0, 2, 1, 0, 0, 1)], 2.0, "symmetric"),
+            ([(0, 1, 2, 1, 0, 1), (0, 1, 2, 1, 1, 0)], -1.0, "nonnegative"),
+            ([(0, 2, 2, 0, 0, 0)], 2.0, "trace"),
         ],
     )
     def test_block_checks_cover_every_row(self, monkeypatch, entries, factor, message):
-        import qnswitch.holevo as hv
-
-        real = hv._switch_blocks
+        real = sw._switch_blocks
 
         def corrupted(*args):
             coeff = real(*args)
-            for index in entries:  # (d, point, I or rho, k, k')
+            for index in entries:  # (d, q row, control, I or rho, k, k')
                 coeff[index] *= factor
             return coeff
 
-        monkeypatch.setattr(hv, "_switch_blocks", corrupted)
+        monkeypatch.setattr(sw, "_switch_blocks", corrupted)
         with pytest.raises(ValueError, match=message):
             holevo_batch(3, [2], [(0.1, 0.2, 0.3)] * 3, [ControlSpec.uniform(3).probs] * 3)
 

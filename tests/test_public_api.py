@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "DepolarizingChannel",
     "NumericalError",
     "SizeLimitError",
-    "SwitchBlockMatrix",
     "assemble_blocks",
     "closed_form_n2",
     "closed_form_n3",

@@ -11,7 +11,6 @@ from qnswitch.channels import DensityMatrix, DepolarizingChannel, random_density
 from qnswitch.errors import SizeLimitError
 from qnswitch.switch import (
     ControlSpec,
-    SwitchBlockMatrix,
     assemble_blocks,
     closed_form_n2,
     closed_form_n3,
@@ -44,6 +43,11 @@ def contraction(n, k, kp, members):
 
 def random_ctrl(n, rng):
     return ControlSpec(n, tuple(rng.dirichlet(np.ones(math.factorial(n)))))
+
+
+def point_blocks(n, d, q, probs):
+    """The blocks [2, n!, n!] of one point: the 1 x 1 x 1 grid of ``assemble_blocks``."""
+    return assemble_blocks(n, [d], [q], [probs])[0, 0, 0]
 
 
 class TestControlSpec:
@@ -80,7 +84,7 @@ class TestControlSpec:
             lambda n: ControlSpec(n, (0.5, 0.5)),
             enumerate_orders,
             lambda n: zero_subsets(n, 1),
-            lambda n: SwitchBlockMatrix(n=n, d=2, a=np.zeros((2, 2)), b=np.eye(2) / 2),
+            lambda n: assemble_blocks(n, [2], [(0.5, 0.5)], [(0.5, 0.5)]),
             contraction_table,
             lambda n: holevo_batch(n, [2], [(0.5, 0.5)], [(0.5, 0.5)]),
         ):
@@ -128,8 +132,8 @@ class TestChannelCountRule:
             pytest.param(ControlSpec.uniform, 8, id="ControlSpec.uniform"),
             pytest.param(lambda n: ControlSpec.definite(n, 1), 8, id="ControlSpec.definite"),
             pytest.param(
-                lambda n: SwitchBlockMatrix(n=n, d=2, a=[[0.0]], b=[[1.0]]), 8,
-                id="SwitchBlockMatrix",
+                lambda n: assemble_blocks(n, [2], [(0.5, 0.5)], [(0.5, 0.5)]), 5,
+                id="assemble_blocks",
             ),
             pytest.param(
                 lambda n: holevo_batch(n, [2], [(0.5, 0.5)], [(0.5, 0.5)]), 5, id="holevo_batch"
@@ -146,10 +150,6 @@ class TestChannelCountRule:
     @pytest.mark.parametrize(
         "make,cap",
         [
-            pytest.param(
-                lambda chans: assemble_blocks(chans, ControlSpec.uniform(2)), 5,
-                id="assemble_blocks",
-            ),
             pytest.param(
                 lambda chans: kraus_sum_output(chans, ControlSpec.uniform(2), RHO2), 8,
                 id="kraus_sum_output",
@@ -187,20 +187,20 @@ class TestBlockTypes:
         rng = np.random.default_rng(n)
         probs = rng.dirichlet(np.ones(math.factorial(n)), size=4) * (1.0 + 9e-13)
         for d in (2, 55, 1 << 15):
-            blocks = sw._switch_blocks(n, [d], rng.uniform(size=(4, n)), probs)[0]
-            traces = blocks.trace(axis1=2, axis2=3)
-            realized = (d * traces[:, 0] + traces[:, 1]).reshape(4, 4)
+            blocks = assemble_blocks(n, [d], rng.uniform(size=(4, n)), probs)[0]
+            traces = blocks.trace(axis1=3, axis2=4)
+            realized = d * traces[..., 0] + traces[..., 1]  # [q row, control]
             assert np.abs(realized - [math.fsum(p) for p in probs]).max() < 2e-14
 
     def test_trace_bound(self):
         # The block rule allows the control rule's 1e-12 plus 1e-12 of rounding.
         for excess, ok in ((1.9e-12, True), (-1.9e-12, True), (2.1e-12, False), (-2.1e-12, False)):
-            b = np.eye(2) * (0.5 + excess / 2)
+            blocks = [np.zeros((2, 2)), np.eye(2) * (0.5 + excess / 2)]
             if ok:
-                SwitchBlockMatrix(n=2, d=2, a=np.zeros((2, 2)), b=b)
+                realize(blocks, RHO2)
             else:
                 with pytest.raises(ValueError, match="realized trace"):
-                    SwitchBlockMatrix(n=2, d=2, a=np.zeros((2, 2)), b=b)
+                    realize(blocks, RHO2)
 
     @pytest.mark.parametrize(
         "value,message",
@@ -210,24 +210,31 @@ class TestBlockTypes:
     def test_matrix_rejects_bad_off_diagonal(self, value, message):
         a = np.array([[0.25, value], [value, 0.25]])
         with pytest.raises(ValueError, match=message):
-            SwitchBlockMatrix(n=2, d=2, a=a, b=np.zeros((2, 2)))
+            realize([a, np.zeros((2, 2))], RHO2)
 
     def test_matrix_rejects_asymmetric(self):
         a = np.array([[0.25, 0.1], [0.0, 0.25]])
-        with pytest.raises(ValueError):
-            SwitchBlockMatrix(n=2, d=2, a=a, b=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="symmetric"):
+            realize([a, np.zeros((2, 2))], RHO2)
 
     @pytest.mark.parametrize(
         "n,error", [(0, SizeLimitError), (9, SizeLimitError), (1.0, ValueError)]
     )
     def test_matrix_applies_order_count_rule(self, n, error):
-        # a = 0, b = 1 is a valid one-channel block matrix at any d.
-        with pytest.raises(error, match="1..8 channels|integer"):
-            SwitchBlockMatrix(n=n, d=2, a=[[0.0]], b=[[1.0]])
+        # The blocks of n channels come from assemble_blocks, which applies the
+        # channel-count rule, with the assembly cap, before any other rule.
+        with pytest.raises(error, match="1..5 channels|integer"):
+            assemble_blocks(n, [1], [(2.0,)], [(1.0, 1.0)])
 
     def test_matrix_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            SwitchBlockMatrix(n=2, d=2, a=np.eye(2), b=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="realized trace"):
+            realize([np.eye(2), np.zeros((2, 2))], RHO2)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 1), (2, 2), (1, 2, 2, 2)])
+    def test_matrix_rejects_a_shape_other_than_one_pair(self, shape):
+        # A third plane would be ignored by the trace, and a non-square one fail in numpy.
+        with pytest.raises(ValueError, match=r"shape \[2, n!, n!\]"):
+            realize(np.zeros(shape), RHO2)
 
 
 class TestContractPair:
@@ -269,49 +276,45 @@ class TestAssembleBlocks:
         p1, p2 = 1 - q1, 1 - q2
         r0, r1, r2 = p1 * p2, q1 * p2 + q2 * p1, q1 * q2
         probs = (0.35, 0.65)
-        sbm = assemble_blocks(channels_for((q1, q2), d), ControlSpec(2, probs))
+        a, b = point_blocks(2, d, (q1, q2), probs)
         for k in (0, 1):
-            assert sbm.a[k, k] == pytest.approx(probs[k] * (r0 + r1) / d, abs=1e-15)
-            assert sbm.b[k, k] == pytest.approx(probs[k] * r2, abs=1e-15)
+            assert a[k, k] == pytest.approx(probs[k] * (r0 + r1) / d, abs=1e-15)
+            assert b[k, k] == pytest.approx(probs[k] * r2, abs=1e-15)
         cross = math.sqrt(probs[0] * probs[1])
-        assert sbm.a[0, 1] == pytest.approx(cross * r1 / d, abs=1e-15)
-        assert sbm.b[0, 1] == pytest.approx(cross * (r0 + d * d * r2) / d**2, abs=1e-15)
+        assert a[0, 1] == pytest.approx(cross * r1 / d, abs=1e-15)
+        assert b[0, 1] == pytest.approx(cross * (r0 + d * d * r2) / d**2, abs=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_two_channel_closed_form(self, d, rng):
-        for _ in range(10):
-            q1, q2 = rng.uniform(size=2)
-            ctrl = random_ctrl(2, rng)
-            built = assemble_blocks(channels_for((q1, q2), d), ctrl)
-            closed = closed_form_n2(q1, q2, ctrl, d)
-            assert np.abs(built.a - closed.a).max() < 1e-14
-            assert np.abs(built.b - closed.b).max() < 1e-14
+        # Every point of a 10 x 10 grid: each q row with each control.
+        q = rng.uniform(size=(10, 2))
+        probs = rng.dirichlet(np.ones(2), size=10)
+        built = assemble_blocks(2, [d], q, probs)
+        assert built.shape == (1, 10, 10, 2, 2, 2)
+        assert np.abs(built - closed_form_n2([d], q, probs)).max() < 1e-14
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_three_channel_closed_form(self, d, rng):
-        for _ in range(10):
-            q1, q2, q3 = rng.uniform(size=3)
-            ctrl = random_ctrl(3, rng)
-            built = assemble_blocks(channels_for((q1, q2, q3), d), ctrl)
-            closed = closed_form_n3(q1, q2, q3, ctrl, d)
-            assert np.abs(built.a - closed.a).max() < 1e-14
-            assert np.abs(built.b - closed.b).max() < 1e-14
+        q = rng.uniform(size=(10, 3))
+        probs = rng.dirichlet(np.ones(6), size=10)
+        built = assemble_blocks(3, [d], q, probs)
+        assert built.shape == (1, 10, 10, 2, 6, 6)
+        assert np.abs(built - closed_form_n3([d], q, probs)).max() < 1e-14
 
     def test_transparent_corner(self):
         ctrl = ControlSpec.uniform(3)
-        sbm = closed_form_n3(1.0, 1.0, 1.0, ctrl, 2)
+        a, b = closed_form_n3([2], [(1.0, 1.0, 1.0)], [ctrl.probs])[0, 0, 0]
         amps = ctrl.amplitudes
-        np.testing.assert_allclose(sbm.a, np.zeros((6, 6)), atol=1e-15)
-        np.testing.assert_allclose(sbm.b, np.outer(amps, amps), atol=1e-15)
+        np.testing.assert_allclose(a, np.zeros((6, 6)), atol=1e-15)
+        np.testing.assert_allclose(b, np.outer(amps, amps), atol=1e-15)
 
     def test_fully_depolarizing_corner_n3(self):
         d = 2
-        ctrl = ControlSpec.uniform(3)
-        sbm = closed_form_n3(0.0, 0.0, 0.0, ctrl, d)
+        blocks = closed_form_n3([d], [(0.0, 0.0, 0.0)], [ControlSpec.uniform(3).probs])[0, 0, 0]
         rho_pairs = CONTRACTION_TABLE_N3[()]
         for k in range(1, 7):
             for kp in range(1, 7):
-                a, b = sbm.a[k - 1, kp - 1], sbm.b[k - 1, kp - 1]
+                a, b = blocks[:, k - 1, kp - 1]
                 w = 1.0 / 6.0
                 identity, _ = rho_pairs[(k, kp)]
                 if k == kp:
@@ -332,22 +335,24 @@ class TestAssembleBlocks:
         t1, t2, t3 = q1 * p2 * p3, q2 * p1 * p3, q3 * p1 * p2
         s2 = q1 * q2 * p3 + q1 * q3 * p2 + q2 * q3 * p1
         s3 = q1 * q2 * q3
-        ctrl = random_ctrl(3, rng)
-        sbm = assemble_blocks(channels_for((q1, q2, q3), d), ctrl)
-        w = math.sqrt(ctrl.probs[0] * ctrl.probs[5])
-        assert sbm.a[0, 5] == pytest.approx(w * (d * d * s2 + s0) / d**3, abs=1e-14)
-        assert sbm.b[0, 5] == pytest.approx(
-            w * (d * d * s3 + t1 + t2 + t3) / d**2, abs=1e-14
-        )
+        probs = rng.dirichlet(np.ones(6))
+        a, b = point_blocks(3, d, (q1, q2, q3), probs)
+        w = math.sqrt(probs[0] * probs[5])
+        assert a[0, 5] == pytest.approx(w * (d * d * s2 + s0) / d**3, abs=1e-14)
+        assert b[0, 5] == pytest.approx(w * (d * d * s3 + t1 + t2 + t3) / d**2, abs=1e-14)
 
     def test_too_many_channels(self):
         with pytest.raises(SizeLimitError):
-            assemble_blocks(channels_for([0.5] * 6, 2), ControlSpec.uniform(6))
+            assemble_blocks(6, [2], [(0.5,) * 6], [ControlSpec.uniform(6).probs])
 
     def test_mixed_dimensions_rejected(self):
+        # A grid point has one d; the brute-force oracles, which take a channel
+        # list, refuse channels of different dimensions.
         chans = [DepolarizingChannel(0.5, 2), DepolarizingChannel(0.5, 3)]
-        with pytest.raises(ValueError):
-            assemble_blocks(chans, ControlSpec.uniform(2))
+        with pytest.raises(ValueError, match="share one dimension"):
+            kraus_sum_output(chans, ControlSpec.uniform(2), RHO2)
+        with pytest.raises(ValueError, match="share one dimension"):
+            completeness_defect(chans)
 
 
 def scalar_closed_form_n2(q1, q2, probs, d):
@@ -365,19 +370,19 @@ unit_interval = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @settings(max_examples=60, deadline=None)
 @given(
-    points=st.lists(st.tuples(*[unit_interval] * 3), min_size=1, max_size=6),
+    qs=st.lists(st.tuples(unit_interval, unit_interval), min_size=1, max_size=4),
+    ps=st.lists(unit_interval, min_size=1, max_size=3),
     d=st.integers(2, 6),
 )
-def test_two_channel_kernel_is_bitwise_the_scalar_expansion(points, d):
-    q1, q2, p = np.array(points).T
-    stack = sw._closed_form_n2_blocks(q1, q2, p, 1.0 - p, [d])[0]
-    assert stack.shape == (len(points), 2, 2, 2)
-    for blocks, (x1, x2, y) in zip(stack, points):
-        ctrl = ControlSpec(2, (y, 1.0 - y))
-        reference = scalar_closed_form_n2(x1, x2, ctrl.probs, d)
-        single = closed_form_n2(x1, x2, ctrl, d)
-        assert blocks.tobytes() == reference.tobytes()
-        assert np.stack([single.a, single.b]).tobytes() == reference.tobytes()
+def test_two_channel_kernel_is_bitwise_the_scalar_expansion(qs, ps, d):
+    # Every point of the grid, and the same point as its own 1 x 1 x 1 grid.
+    probs = [(y, 1.0 - y) for y in ps]
+    grid = closed_form_n2([d], qs, probs)
+    assert grid.shape == (1, len(qs), len(probs), 2, 2, 2)
+    for (i, q), (j, p) in product(enumerate(qs), enumerate(probs)):
+        reference = scalar_closed_form_n2(*q, p, d)
+        assert grid[0, i, j].tobytes() == reference.tobytes()
+        assert closed_form_n2([d], [q], [p])[0, 0, 0].tobytes() == reference.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -386,45 +391,45 @@ def test_two_channel_kernel_is_bitwise_the_scalar_expansion(points, d):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_realize_is_bitwise_kron(n, d, g, seed):
+    # g random symmetric block pairs, scaled to the unit realized trace of the block rule.
     rng = np.random.default_rng(seed)
     nf = math.factorial(n)
-    blocks = rng.uniform(size=(g, 2, nf, nf))
-    blocks[rng.uniform(size=blocks.shape) < 0.3] = 0.0  # exact zeros meet rho's zeros
-    rhos = np.stack([random_density(d, rng).entries for _ in range(g)])
-    dense = sw._realize(blocks, rhos)
-    assert dense.shape == (g, nf * d, nf * d)
-    for out, (a, b), rho in zip(dense, blocks, rhos):
-        want = np.kron(a, np.eye(d, dtype=complex)) + np.kron(b, rho)
+    for _ in range(g):
+        a, b = rng.uniform(size=(2, nf, nf)) * (rng.uniform(size=(2, nf, nf)) < 0.7)
+        a, b = a + a.T, b + b.T + np.eye(nf)  # exact zeros of a meet rho's zeros
+        scale = d * np.trace(a) + np.trace(b)
+        a, b = a / scale, b / scale
+        rho = random_density(d, rng)
+        out = realize([a, b], rho)
+        want = np.kron(a, np.eye(d, dtype=complex)) + np.kron(b, rho.entries)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
 
 class TestRealize:
     def test_maximally_mixed_target(self, rng):
         d = 3
-        sbm = assemble_blocks(channels_for(rng.uniform(size=2), d), random_ctrl(2, rng))
-        dense = realize(sbm, DensityMatrix.maximally_mixed(d))
-        expected = np.kron(sbm.a + sbm.b / d, np.eye(d))
-        np.testing.assert_allclose(dense, expected, atol=1e-15)
+        a, b = point_blocks(2, d, rng.uniform(size=2), rng.dirichlet(np.ones(2)))
+        dense = realize([a, b], DensityMatrix.maximally_mixed(d))
+        np.testing.assert_allclose(dense, np.kron(a + b / d, np.eye(d)), atol=1e-15)
 
     def test_unit_trace_and_hermitian(self, rng):
         d = 2
-        sbm = assemble_blocks(channels_for(rng.uniform(size=3), d), random_ctrl(3, rng))
-        dense = realize(sbm, random_density(d, rng))
+        blocks = point_blocks(3, d, rng.uniform(size=3), rng.dirichlet(np.ones(6)))
+        dense = realize(blocks, random_density(d, rng))
         assert abs(np.trace(dense) - 1.0) < 1e-12
         assert np.abs(dense - dense.conj().T).max() < 1e-12
 
     def test_positive_semidefinite(self, rng):
         for n, d in ((2, 2), (2, 3), (3, 2), (3, 3)):
-            sbm = assemble_blocks(
-                channels_for(rng.uniform(size=n), d), random_ctrl(n, rng)
-            )
-            dense = realize(sbm, random_density(d, rng))
+            probs = rng.dirichlet(np.ones(math.factorial(n)))
+            dense = realize(point_blocks(n, d, rng.uniform(size=n), probs), random_density(d, rng))
             assert np.linalg.eigvalsh(dense).min() > -1e-10
 
     def test_dimension_mismatch(self, rng):
-        sbm = assemble_blocks(channels_for((0.5, 0.5), 2), ControlSpec.uniform(2))
-        with pytest.raises(ValueError):
-            realize(sbm, random_density(3, rng))
+        # The block rule runs at the state's d, where these blocks' trace is not 1.
+        blocks = point_blocks(2, 2, (0.5, 0.5), (0.5, 0.5))
+        with pytest.raises(ValueError, match="realized trace"):
+            realize(blocks, random_density(3, rng))
 
 
 class TestKrausSumOutput:
@@ -463,7 +468,7 @@ class TestKrausSumOutput:
             chans = channels_for(rng.uniform(size=n), d)
             ctrl = random_ctrl(n, rng)
             rho = random_density(d, rng)
-            dense = realize(assemble_blocks(chans, ctrl), rho)
+            dense = realize(point_blocks(n, d, [c.q for c in chans], ctrl.probs), rho)
             reference = kraus_sum_output(chans, ctrl, rho)
             assert np.abs(dense - reference).max() < 1e-10
 
@@ -501,7 +506,7 @@ class TestKrausSumOutput:
             chans = channels_for(rng.uniform(size=n), d)
             ctrl = random_ctrl(n, rng)
             rho = random_density(d, rng)
-            dense = realize(assemble_blocks(chans, ctrl), rho)
+            dense = realize(point_blocks(n, d, [c.q for c in chans], ctrl.probs), rho)
             reference = kraus_sum_output(chans, ctrl, rho)
             assert np.abs(dense - reference).max() < 1e-10
 
@@ -533,11 +538,11 @@ class TestChunkedKrausSum:
 class TestDefiniteOrderEmbedding:
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
     def test_each_order(self, n, d, rng):
-        chans = channels_for(rng.uniform(size=n), d)
+        qs = rng.uniform(size=n)
+        chans = channels_for(qs, d)
         rho = random_density(d, rng)
         for k, perm in enumerate(enumerate_orders(n), start=1):
-            sbm = assemble_blocks(chans, ControlSpec.definite(n, k))
-            dense = realize(sbm, rho)
+            dense = realize(point_blocks(n, d, qs, ControlSpec.definite(n, k).probs), rho)
             top = dense[(k - 1) * d : k * d, (k - 1) * d : k * d]
             composed = compose_definite(chans, perm, rho)
             assert np.abs(top - composed.entries).max() < 1e-12
@@ -592,8 +597,8 @@ class TestContractionTable:
         reversed_probs = np.empty_like(probs)
         reversed_probs[:, rev] = probs
         q = rng.uniform(size=(3, n))
-        blocks = sw._switch_blocks(n, [2, 3, 7], q, probs)
-        reversed_blocks = sw._switch_blocks(n, [2, 3, 7], q, reversed_probs)
+        blocks = assemble_blocks(n, [2, 3, 7], q, probs)
+        reversed_blocks = assemble_blocks(n, [2, 3, 7], q, reversed_probs)
         assert reversed_blocks[..., rev[:, None], rev].tobytes() == blocks.tobytes()
 
     def test_refuses_more_channels_before_any_work(self, monkeypatch):
@@ -665,18 +670,15 @@ class TestConcurrentAssembly:
         from concurrent.futures import ThreadPoolExecutor
 
         contraction_table.cache_clear()
-        chans = channels_for((0.2, 0.5, 0.8), 2)
         params = [tuple(rng.dirichlet(np.ones(6))) for _ in range(16)]
 
         def build(probs):
-            return assemble_blocks(chans, ControlSpec(3, probs))
+            return point_blocks(3, 2, (0.2, 0.5, 0.8), probs)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(build, params))
         for probs, result in zip(params, threaded):
-            serial = build(probs)
-            assert np.array_equal(result.a, serial.a)
-            assert np.array_equal(result.b, serial.b)
+            assert np.array_equal(result, build(probs))
 
 
 class TestCompletenessDefect:
